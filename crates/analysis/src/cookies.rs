@@ -137,14 +137,17 @@ pub fn scan(slice: CrawlSlice<'_>) -> Vec<CookieRow> {
 /// sequence keeps first occurrences exactly where the monolithic scan
 /// put them.
 pub fn merge(parts: impl IntoIterator<Item = Vec<CookieRow>>) -> Vec<CookieRow> {
-    let mut seen: BTreeSet<(String, String, String)> = BTreeSet::new();
-    let mut rows = Vec::new();
-    for part in parts {
-        for row in part {
-            let key = (row.site.clone(), row.domain.clone(), row.name.clone());
-            if seen.insert(key) {
-                rows.push(row);
-            }
+    let key = |row: &CookieRow| (row.site.clone(), row.domain.clone(), row.name.clone());
+    let mut parts = parts.into_iter().peekable();
+    // A shard's rows are already deduplicated within it.
+    let mut rows = parts.next().unwrap_or_default();
+    if parts.peek().is_none() {
+        return rows;
+    }
+    let mut seen: BTreeSet<(String, String, String)> = rows.iter().map(key).collect();
+    for row in parts.flatten() {
+        if seen.insert(key(&row)) {
+            rows.push(row);
         }
     }
     rows

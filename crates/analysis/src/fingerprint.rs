@@ -117,7 +117,8 @@ pub fn detect(crawl: &CrawlRecord, ats: AtsVerdicts<'_>) -> FingerprintReport {
 
 /// The reduce side: set unions plus a rejected-execution sum.
 pub fn merge(parts: impl IntoIterator<Item = FingerprintScan>) -> FingerprintScan {
-    let mut out = FingerprintScan::default();
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
     for part in parts {
         out.canvas_scripts.extend(part.canvas_scripts);
         out.canvas_sites.extend(part.canvas_sites);

@@ -146,7 +146,8 @@ pub fn scan(
 /// tier sets union, the any-HTTPS flags OR — all commutative, so the merge
 /// of any contiguous split equals the monolithic scan.
 pub fn merge(parts: impl IntoIterator<Item = HttpsScan>) -> HttpsScan {
-    let mut out = HttpsScan::default();
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
     for part in parts {
         for (tier, n) in part.site_total {
             *out.site_total.entry(tier).or_default() += n;

@@ -92,33 +92,10 @@ pub fn detect_with_options(
     top_k: usize,
     options: SyncOptions,
 ) -> SyncReport {
-    detect_inner(crawl, ranked_sites, top_k, options, None)
-}
-
-/// [`detect_with_options`] with eTLD+1 resolutions memoized in `hosts` —
-/// the same cookie and destination domains recur across the crawl, and the
-/// stage pipeline shares `hosts` with every other stage. Identical output.
-pub fn detect_cached(
-    crawl: &CrawlRecord,
-    ranked_sites: &[String],
-    top_k: usize,
-    options: SyncOptions,
-    hosts: &HostCache,
-) -> SyncReport {
-    detect_inner(crawl, ranked_sites, top_k, options, Some(hosts))
-}
-
-fn detect_inner(
-    crawl: &CrawlRecord,
-    ranked_sites: &[String],
-    top_k: usize,
-    options: SyncOptions,
-    hosts: Option<&HostCache>,
-) -> SyncReport {
     // The detector is defined as the two-pass map/reduce run on a single
     // shard, so sharded runs reproduce it by construction.
-    let regs = regs_inner(crawl.full(), options, hosts);
-    let matches = matches_inner(crawl.full(), &regs, options, hosts);
+    let regs = regs_inner(crawl.full(), options, None);
+    let matches = matches_inner(crawl.full(), &regs, options, None);
     finalize(matches, ranked_sites, top_k)
 }
 
@@ -149,7 +126,8 @@ pub fn scan_registrations(
 pub fn merge_registrations(
     parts: impl IntoIterator<Item = SyncRegistrations>,
 ) -> SyncRegistrations {
-    let mut out = SyncRegistrations::new();
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
     for part in parts {
         for (value, (owner, idx)) in part {
             match out.entry(value) {
@@ -180,7 +158,8 @@ pub fn scan_matches(
 
 /// Merges per-shard match partials (counts add, site sets union).
 pub fn merge_matches(parts: impl IntoIterator<Item = SyncMatches>) -> SyncMatches {
-    let mut out = SyncMatches::default();
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
     for part in parts {
         for (pair, n) in part.pairs {
             *out.pairs.entry(pair).or_default() += n;

@@ -137,16 +137,6 @@ pub fn extract(crawl: &CrawlRecord, include_chained: bool) -> ThirdPartyExtract 
     scan_inner(crawl.full(), include_chained, None)
 }
 
-/// [`extract`] with eTLD+1 resolutions memoized in `hosts`. Identical
-/// output.
-pub fn extract_cached(
-    crawl: &CrawlRecord,
-    include_chained: bool,
-    hosts: &HostCache,
-) -> ThirdPartyExtract {
-    scan_inner(crawl.full(), include_chained, Some(hosts))
-}
-
 /// The map side of the extraction: one shard's partial extract. Merging
 /// every shard's partial with [`merge`] reproduces the monolithic
 /// [`extract`] exactly (per-site maps and FQDN sets union cleanly).
@@ -156,7 +146,8 @@ pub fn scan(slice: CrawlSlice<'_>, include_chained: bool, hosts: &HostCache) -> 
 
 /// The reduce side: unions per-shard partials, in shard order.
 pub fn merge(parts: impl IntoIterator<Item = ThirdPartyExtract>) -> ThirdPartyExtract {
-    let mut out = ThirdPartyExtract::default();
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
     for part in parts {
         for (site, parties) in part.per_site {
             let entry = out.per_site.entry(site).or_default();
@@ -233,27 +224,40 @@ fn scan_inner(
 /// whole crawl; per-shard sub-ranges memoize shard partials).
 type ExtractKey = (Country, CorpusLabel, bool, usize, usize);
 
-/// A pipeline-wide memo of third-party extractions.
-///
-/// Several stages (ats, orgs, sync, geo, monetization) start from "the
-/// third parties of crawl X" — before this memo each re-ran [`extract`]
-/// over the same records. The memo computes each `(country, corpus,
-/// include_chained)` extraction once and hands out `Arc` clones. Concurrent
-/// stages may race on a cold key; extraction is deterministic, so both
-/// compute the same value and the duplicated work is bounded by one
-/// extraction (both count as misses).
+fn slice_key(slice: CrawlSlice<'_>, include_chained: bool) -> ExtractKey {
+    (
+        slice.country,
+        slice.corpus,
+        include_chained,
+        slice.offset,
+        slice.offset + slice.len(),
+    )
+}
+
+/// A pipeline-wide memo of third-party extractions. Several stages (ats,
+/// orgs, geo, disclosure) start from "the third parties of crawl X" over
+/// the same records. The memo computes each `(country, corpus,
+/// include_chained)` extraction once and hands out `Arc` clones. It
+/// assembles an extraction from `shards` contiguous visit-range scans, each
+/// memoized under its own range, merged in shard order; one shard is the
+/// whole crawl. Concurrent stages may race on a cold key; extraction is
+/// deterministic, so both compute the same value and the duplicated work
+/// is bounded by one extraction (both count as misses).
 pub struct ExtractMemo {
     hosts: Arc<HostCache>,
+    shards: usize,
     map: RwLock<HashMap<ExtractKey, Arc<ThirdPartyExtract>>>,
     hits: Counter,
     misses: Counter,
 }
 
 impl ExtractMemo {
-    /// Empty memo resolving hosts through `hosts`.
-    pub fn new(hosts: Arc<HostCache>) -> Self {
+    /// Empty memo resolving hosts through `hosts` and scanning each crawl
+    /// as `shards` shards.
+    pub fn new(hosts: Arc<HostCache>, shards: usize) -> Self {
         ExtractMemo {
             hosts,
+            shards: shards.max(1),
             map: RwLock::new(HashMap::new()),
             hits: Counter::new(),
             misses: Counter::new(),
@@ -263,91 +267,59 @@ impl ExtractMemo {
     /// [`ExtractMemo::new`] publishing `cache.thirdparty-extracts.hits` /
     /// `.misses` into `registry` ([`ExtractMemo::stats`] reads the same
     /// cells).
-    pub fn in_registry(hosts: Arc<HostCache>, registry: &Registry) -> Self {
+    pub fn in_registry(hosts: Arc<HostCache>, shards: usize, registry: &Registry) -> Self {
         ExtractMemo {
             hits: registry.counter("cache.thirdparty-extracts.hits"),
             misses: registry.counter("cache.thirdparty-extracts.misses"),
-            ..Self::new(hosts)
+            ..Self::new(hosts, shards)
         }
     }
 
-    /// The extraction for `crawl`, computed at most once per key.
-    pub fn get(&self, crawl: &CrawlRecord, include_chained: bool) -> Arc<ThirdPartyExtract> {
-        let key: ExtractKey = (
-            crawl.country,
-            crawl.corpus,
-            include_chained,
-            0,
-            crawl.visits.len(),
-        );
-        if let Some(found) = self.map.read().expect("extract memo lock").get(&key) {
-            self.hits.inc();
-            return Arc::clone(found);
-        }
-        self.misses.inc();
-        let extract = Arc::new(extract_cached(crawl, include_chained, &self.hosts));
+    fn lookup(&self, key: &ExtractKey) -> Option<Arc<ThirdPartyExtract>> {
+        self.map
+            .read()
+            .expect("extract memo lock")
+            .get(key)
+            .map(Arc::clone)
+    }
+
+    fn insert(&self, key: ExtractKey, extract: ThirdPartyExtract) -> Arc<ThirdPartyExtract> {
         let mut map = self.map.write().expect("extract memo lock");
-        Arc::clone(map.entry(key).or_insert(extract))
+        Arc::clone(map.entry(key).or_insert_with(|| Arc::new(extract)))
+    }
+
+    /// The extraction for `crawl`, computed at most once per key: a hit
+    /// when the whole crawl is memoized, otherwise the merge of its shard
+    /// extractions, cached under the whole-crawl key.
+    pub fn get(&self, crawl: &CrawlRecord, include_chained: bool) -> Arc<ThirdPartyExtract> {
+        let full = slice_key(crawl.full(), include_chained);
+        if let Some(found) = self.lookup(&full) {
+            self.hits.inc();
+            return found;
+        }
+        let parts: Vec<Arc<ThirdPartyExtract>> = crawl
+            .shards(self.shards)
+            .into_iter()
+            .map(|slice| self.get_shard(slice, include_chained))
+            .collect();
+        if let [whole] = parts.as_slice() {
+            // One shard spans the whole crawl: it is memoized under `full`.
+            return Arc::clone(whole);
+        }
+        let merged = merge(parts.iter().map(|part| (**part).clone()));
+        self.insert(full, merged)
     }
 
     /// One shard's partial extraction, memoized under the shard's visit
     /// range.
-    pub fn get_shard(
-        &self,
-        slice: CrawlSlice<'_>,
-        include_chained: bool,
-    ) -> Arc<ThirdPartyExtract> {
-        let key: ExtractKey = (
-            slice.country,
-            slice.corpus,
-            include_chained,
-            slice.offset,
-            slice.offset + slice.len(),
-        );
-        if let Some(found) = self.map.read().expect("extract memo lock").get(&key) {
+    fn get_shard(&self, slice: CrawlSlice<'_>, include_chained: bool) -> Arc<ThirdPartyExtract> {
+        let key = slice_key(slice, include_chained);
+        if let Some(found) = self.lookup(&key) {
             self.hits.inc();
-            return Arc::clone(found);
+            return found;
         }
         self.misses.inc();
-        let extract = Arc::new(scan(slice, include_chained, &self.hosts));
-        let mut map = self.map.write().expect("extract memo lock");
-        Arc::clone(map.entry(key).or_insert(extract))
-    }
-
-    /// The extraction for `crawl` assembled shard-by-shard: scans each of
-    /// `shards` contiguous visit ranges (memoized individually via
-    /// [`get_shard`](Self::get_shard)), merges the partials in shard order,
-    /// and caches the merged result under the whole-crawl key — so a later
-    /// [`get`](Self::get) for the same crawl is a hit and returns the exact
-    /// same value a monolithic extraction would have produced.
-    pub fn get_sharded(
-        &self,
-        crawl: &CrawlRecord,
-        include_chained: bool,
-        shards: usize,
-    ) -> Arc<ThirdPartyExtract> {
-        if shards <= 1 {
-            return self.get(crawl, include_chained);
-        }
-        let full: ExtractKey = (
-            crawl.country,
-            crawl.corpus,
-            include_chained,
-            0,
-            crawl.visits.len(),
-        );
-        if let Some(found) = self.map.read().expect("extract memo lock").get(&full) {
-            self.hits.inc();
-            return Arc::clone(found);
-        }
-        let parts: Vec<ThirdPartyExtract> = crawl
-            .shards(shards)
-            .into_iter()
-            .map(|slice| (*self.get_shard(slice, include_chained)).clone())
-            .collect();
-        let merged = Arc::new(merge(parts));
-        let mut map = self.map.write().expect("extract memo lock");
-        Arc::clone(map.entry(full).or_insert(merged))
+        self.insert(key, scan(slice, include_chained, &self.hosts))
     }
 
     /// Hit/miss counters so far.

@@ -46,7 +46,8 @@ pub fn detect(crawl: &CrawlRecord, ats: AtsVerdicts<'_>) -> WebRtcReport {
 
 /// The reduce side: set unions plus the co-occurrence sum.
 pub fn merge(parts: impl IntoIterator<Item = WebRtcScan>) -> WebRtcScan {
-    let mut out = WebRtcScan::default();
+    let mut parts = parts.into_iter();
+    let mut out = parts.next().unwrap_or_default();
     for part in parts {
         out.scripts.extend(part.scripts);
         out.sites.extend(part.sites);

@@ -23,7 +23,7 @@
 //!
 //! ```sh
 //! cargo bench -p redlight-bench --bench hotpath            # full sweep + JSON
-//! cargo bench -p redlight-bench --bench hotpath -- --test  # 1× smoke (still writes JSON)
+//! cargo bench -p redlight-bench --bench hotpath -- --test  # 1× smoke (JSON under target/bench-smoke/)
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -260,6 +260,12 @@ fn main() {
         rows.push(row);
     }
 
+    // Record the measured rows before judging them, so a failed guardrail
+    // still leaves the numbers that failed it.
+    let path = redlight_bench::results_path("hotpath", test_mode);
+    std::fs::write(&path, json(&rows)).expect("write BENCH_hotpath.json");
+    println!("wrote {}", path.display());
+
     if !test_mode {
         // Guardrails: batching must actually win at the top scale, and its
         // allocation footprint must stay flat as the corpus grows.
@@ -279,8 +285,4 @@ fn main() {
             base.batch_allocs_per_visit
         );
     }
-
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotpath.json");
-    std::fs::write(path, json(&rows)).expect("write BENCH_hotpath.json");
-    println!("wrote {path}");
 }

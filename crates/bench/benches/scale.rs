@@ -34,6 +34,7 @@ struct Row {
 fn sweep(factor: usize, reps: usize) -> Row {
     let mut config = StudyConfig::tiny(2019);
     config.world = config.world.scaled(factor);
+    config.shards = factor;
     let world = World::build(config.world.clone());
 
     // The pipeline is deterministic, so every rep produces the same db and
@@ -45,7 +46,7 @@ fn sweep(factor: usize, reps: usize) -> Row {
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
         let (db, timings) = Study::collect_db(&world, &config);
-        let ctx = AnalysisContext::build_sharded(&world, &config, &db, factor);
+        let ctx = AnalysisContext::build(&world, &config, &db);
         let (outputs, _) = stages::run(&db, &ctx, &stages::all_stages());
         let wall_s = t0.elapsed().as_secs_f64();
         assert!(
@@ -138,7 +139,7 @@ fn main() {
         base.bytes_per_visit
     );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-    std::fs::write(path, json(&rows)).expect("write BENCH_scale.json");
-    println!("wrote {path}");
+    let path = redlight_bench::results_path("scale", false);
+    std::fs::write(&path, json(&rows)).expect("write BENCH_scale.json");
+    println!("wrote {}", path.display());
 }

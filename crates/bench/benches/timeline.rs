@@ -11,7 +11,7 @@
 //!
 //! ```sh
 //! cargo bench -p redlight-bench --bench timeline            # full scale + JSON
-//! cargo bench -p redlight-bench --bench timeline -- --test  # small smoke (still writes JSON)
+//! cargo bench -p redlight-bench --bench timeline -- --test  # small smoke (JSON under target/bench-smoke/)
 //! ```
 
 use redlight_obs::ObsContext;
@@ -139,7 +139,7 @@ fn main() {
         rows.push(row);
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_timeline.json");
-    std::fs::write(path, json(&rows)).expect("write BENCH_timeline.json");
-    println!("wrote {path}");
+    let path = redlight_bench::results_path("timeline", test_mode);
+    std::fs::write(&path, json(&rows)).expect("write BENCH_timeline.json");
+    println!("wrote {}", path.display());
 }

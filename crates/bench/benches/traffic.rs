@@ -10,7 +10,7 @@
 //!
 //! ```sh
 //! cargo bench -p redlight-bench --bench traffic            # full sweep + JSON
-//! cargo bench -p redlight-bench --bench traffic -- --test  # small smoke (still writes JSON)
+//! cargo bench -p redlight-bench --bench traffic -- --test  # small smoke (JSON under target/bench-smoke/)
 //! ```
 
 use std::time::Instant;
@@ -142,7 +142,7 @@ fn main() {
         );
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_traffic.json");
-    std::fs::write(path, json(&rows)).expect("write BENCH_traffic.json");
-    println!("wrote {path}");
+    let path = redlight_bench::results_path("traffic", test_mode);
+    std::fs::write(&path, json(&rows)).expect("write BENCH_traffic.json");
+    println!("wrote {}", path.display());
 }

@@ -10,7 +10,6 @@
 //! cargo run --release -p redlight-bench --bin reproduce -- --trace out.json --metrics out.prom
 //! cargo run --release -p redlight-bench --bin reproduce -- --shards 4 --timings
 //! cargo run --release -p redlight-bench --bin reproduce -- --sites-scale 4
-//! cargo run --release -p redlight-bench --bin reproduce -- --no-batch-classify
 //! cargo run --release -p redlight-bench --bin reproduce -- --traffic 1000000
 //! ```
 //!
@@ -32,10 +31,6 @@
 //! statistics. `--sites-scale <n>` grows every world population `n`× while
 //! keeping the paper's proportions — the paper-vs-measured comparison
 //! rescales accordingly. Both reject `0`.
-//!
-//! `--batch-classify` / `--no-batch-classify` toggle the batched ATS
-//! classification pass (on by default): verdicts are byte-identical either
-//! way, the toggle only exists to time the per-request baseline.
 //!
 //! Observability exports (any of these turns journaling on; same seed ⇒
 //! byte-identical files):
@@ -139,7 +134,6 @@ fn main() {
             },
         }
     };
-    let shards = count_arg("--shards");
     let sites_scale = count_arg("--sites-scale");
     // `--traffic <sessions>`: absent ⇒ study mode; `0` ⇒ usage error.
     let traffic: Option<u64> = match args.iter().position(|a| a == "--traffic") {
@@ -152,16 +146,6 @@ fn main() {
             }
         },
     };
-    // Last occurrence wins so scripts can append an override.
-    let batch_classify = args
-        .iter()
-        .rev()
-        .find_map(|a| match a.as_str() {
-            "--batch-classify" => Some(true),
-            "--no-batch-classify" => Some(false),
-            _ => None,
-        })
-        .unwrap_or(true);
 
     let mut config = if paper_scale {
         StudyConfig::paper_scale(seed)
@@ -183,7 +167,7 @@ fn main() {
     if let Some(fault_seed) = fault_seed {
         config.net = config.net.with_fault_seed(fault_seed);
     }
-    config.batch_classify = batch_classify;
+    config.shards = count_arg("--shards");
     config.world = config.world.scaled(sites_scale);
     // Counts grow with the corpus, so the paper comparison divides the
     // base world-size factor by the multiplicative growth.
@@ -191,11 +175,9 @@ fn main() {
 
     // Journaling is opt-in: without an export flag the study runs over the
     // disabled (zero-overhead) observability context.
-    let obs = if trace_out.is_some() || events_out.is_some() || metrics_out.is_some() {
-        ObsContext::new()
-    } else {
-        ObsContext::disabled()
-    };
+    if trace_out.is_some() || events_out.is_some() || metrics_out.is_some() {
+        config.obs = ObsContext::new();
+    }
 
     if let Some(sessions) = traffic {
         run_traffic_mode(
@@ -228,7 +210,7 @@ fn main() {
 
     if collect_only {
         let world = World::build(config.world.clone());
-        let (db, crawl_timings) = Study::collect_db_observed(&world, &config, &obs);
+        let (db, crawl_timings) = Study::collect_db(&world, &config);
         eprintln!(
             "collected {} crawls, {} interaction records in {:?}",
             db.crawls().len(),
@@ -240,23 +222,23 @@ fn main() {
                 crawls: crawl_timings,
                 stages: Vec::new(),
                 caches: Vec::new(),
-                shards: shard_stats(&db, shards),
+                shards: stages::shard_stats(&db, config.shards),
             };
             print_timings(&report, json);
         }
-        export_obs(&obs, &trace_out, &events_out, &metrics_out);
+        export_obs(&config.obs, &trace_out, &events_out, &metrics_out);
         return;
     }
 
     if !requested.is_empty() {
-        run_stages(&config, &requested, timings, json, &obs, shards);
+        run_stages(&config, &requested, timings, json);
         eprintln!("done in {:?}", t0.elapsed());
-        export_obs(&obs, &trace_out, &events_out, &metrics_out);
+        export_obs(&config.obs, &trace_out, &events_out, &metrics_out);
         return;
     }
 
     let world = World::build(config.world.clone());
-    let results = Study::run_on_sharded_observed(&world, &config, &obs, shards);
+    let results = Study::run_on(&world, &config);
     eprintln!("done in {:?}", t0.elapsed());
 
     println!("{}", results.render_summary());
@@ -267,7 +249,7 @@ fn main() {
     if timings {
         print_timings(&results.stage_report, json);
     }
-    export_obs(&obs, &trace_out, &events_out, &metrics_out);
+    export_obs(&config.obs, &trace_out, &events_out, &metrics_out);
 }
 
 /// `--traffic` mode: the discrete-event traffic workload instead of the
@@ -340,27 +322,9 @@ fn run_traffic_mode(
     );
 }
 
-/// Per-crawl shard statistics — only surfaced on sharded runs.
-fn shard_stats(
-    db: &redlight_crawler::db::MeasurementDb,
-    shards: usize,
-) -> Vec<redlight_core::results::ShardStat> {
-    if shards > 1 {
-        stages::shard_stats(db, shards)
-    } else {
-        Vec::new()
-    }
-}
-
-/// `--stage` mode: collect the DB once, run only the selected stages.
-fn run_stages(
-    config: &StudyConfig,
-    requested: &[String],
-    timings: bool,
-    json: bool,
-    obs: &ObsContext,
-    shards: usize,
-) {
+/// `--stage` mode: collect the DB once, then run only the selected stages
+/// through the same analysis entry as the full run.
+fn run_stages(config: &StudyConfig, requested: &[String], timings: bool, json: bool) {
     let selected = match stages::expand_selection(requested) {
         Ok(s) => s,
         Err(e) => {
@@ -374,26 +338,14 @@ fn run_stages(
     );
 
     let world = World::build(config.world.clone());
-    let (db, crawl_timings) = Study::collect_db_observed(&world, config, obs);
-    let ctx = stages::AnalysisContext::build_sharded_in(&world, config, &db, &obs.metrics, shards);
-    let stage_obs = stages::StageObs {
-        trace: &obs.trace,
-        metrics: &obs.metrics,
-        parent: None,
-    };
-    let (outputs, stage_timings) = stages::run_observed(&db, &ctx, &selected, &stage_obs);
+    let (db, crawl_timings) = Study::collect_db(&world, config);
+    let analysis = Study::analyze(&world, config, &db, crawl_timings, &selected);
 
-    for (name, line) in outputs.summaries() {
+    for (name, line) in analysis.outputs.summaries() {
         println!("{name:<16} {line}");
     }
     if timings {
-        let report = StageReport {
-            crawls: crawl_timings,
-            stages: stage_timings,
-            caches: ctx.cache_counters(),
-            shards: shard_stats(&db, shards),
-        };
-        print_timings(&report, json);
+        print_timings(&analysis.report, json);
     }
 }
 

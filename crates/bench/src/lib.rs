@@ -1,9 +1,9 @@
-//! Shared fixtures for the per-table/figure benchmarks.
+//! Shared fixtures for the criterion benches.
 //!
-//! Every bench follows the same pattern: build the fixture once (world +
-//! crawls — the expensive, non-benchmarked part), **print the regenerated
-//! table/figure** so `cargo bench` output doubles as the reproduction
-//! record, then let Criterion time the analysis step itself.
+//! A bench builds the fixture once (world + the two main Spanish crawls —
+//! the expensive, non-benchmarked part), then lets Criterion time the step
+//! it studies. Per-table output and per-stage wall times come from
+//! `reproduce` (`--stage <name> --timings`), not from benches.
 
 use redlight_analysis::ats::AtsClassifier;
 use redlight_crawler::corpus::{CorpusCompiler, CorpusReport};
@@ -75,6 +75,20 @@ impl Fixture {
         ranked.sort_by_key(|d| histories.get(d).and_then(|h| h.best()).unwrap_or(u32::MAX));
         ranked
     }
+}
+
+/// Where a bench writes its `BENCH_<name>.json` rows: the committed file at
+/// the repo root after a full run, `target/bench-smoke/` after a `--test`
+/// smoke run, so smoke rows never overwrite committed results.
+pub fn results_path(name: &str, test_mode: bool) -> std::path::PathBuf {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if test_mode {
+        root.join("target/bench-smoke")
+    } else {
+        root
+    };
+    std::fs::create_dir_all(&dir).expect("create the bench results directory");
+    dir.join(format!("BENCH_{name}.json"))
 }
 
 /// Criterion defaults tuned for heavyweight end-to-end benches.

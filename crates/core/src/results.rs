@@ -37,7 +37,7 @@ pub struct StageTiming {
 }
 
 /// Final hit/miss counters of one shared analysis cache.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheCounter {
     /// Cache name (e.g. `etld1-hosts`, `ats-url-verdicts`).
     pub name: &'static str,

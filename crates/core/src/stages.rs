@@ -22,6 +22,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crossbeam::thread::ScopedJoinHandle;
+
 use redlight_analysis::agegate::AgeGateComparison;
 use redlight_analysis::ats::{AtsClassifier, AtsVerdicts, BatchVerdicts};
 use redlight_analysis::consent::BannerBreakdown;
@@ -47,7 +49,7 @@ use redlight_crawler::db::{CorpusLabel, CrawlRecord, InteractionRecord, Measurem
 use redlight_crawler::store::{shard_ranges, CrawlSlice};
 use redlight_net::geoip::Country;
 use redlight_net::psl::HostCache;
-use redlight_obs::{Registry, SpanLink, Trace};
+use redlight_obs::{MetricsSnapshot, ObsContext, Registry};
 use redlight_rankings::{PopularityTier, RankHistory};
 use redlight_websim::oracle::InspectionOracle;
 use redlight_websim::World;
@@ -156,9 +158,13 @@ pub fn all_stages() -> BTreeSet<&'static str> {
 
 /// Per-crawl shard statistics for a run fanning over `shards` shards: how
 /// each crawl's visit range splits and how much interned string data its
-/// symbol table carries. Surfaced through [`StageReport`] under
-/// `reproduce --timings`, never through the deterministic summary.
+/// symbol table carries; empty for an unsharded run (`shards <= 1`).
+/// Surfaced through [`StageReport`] under `reproduce --timings`, never
+/// through the deterministic summary.
 pub fn shard_stats(db: &MeasurementDb, shards: usize) -> Vec<crate::results::ShardStat> {
+    if shards <= 1 {
+        return Vec::new();
+    }
     db.crawls()
         .iter()
         .map(|crawl| {
@@ -228,16 +234,16 @@ pub struct AnalysisContext<'a> {
     pub top: Vec<String>,
     /// EasyList + EasyPrivacy classifier (memoized; shares [`Self::hosts`]).
     pub classifier: AtsClassifier,
-    /// Per-crawl Sym-keyed batch verdict columns, computed up front when
-    /// [`StudyConfig::batch_classify`] is on (empty otherwise). Stages view
-    /// them through [`Self::ats_for`].
+    /// Per-crawl Sym-keyed batch verdict columns, computed up front for
+    /// every crawl. Stages view them through [`Self::ats_for`].
     pub ats_batches: BTreeMap<(Country, CorpusLabel), BatchVerdicts>,
     /// Pipeline-wide host → eTLD+1 memo, shared by the classifier, the
     /// extraction memo and every stage that resolves registrable domains.
     pub hosts: Arc<HostCache>,
     /// Memo of third-party extractions keyed by `(country, corpus,
-    /// include_chained)` — stages needing "the third parties of crawl X"
-    /// fetch from here instead of re-extracting.
+    /// include_chained)`, scanned over the study's shard count — stages
+    /// needing "the third parties of crawl X" fetch from here instead of
+    /// re-extracting.
     pub extracts: ExtractMemo,
     /// Certificates harvested once from the main crawls (plus the
     /// out-of-band TLS probe), shared by the organizations stage.
@@ -257,58 +263,32 @@ pub struct AnalysisContext<'a> {
     /// The Spanish vantage point's public IP, as recorded by the crawl —
     /// what server-side trackers embed in cookies.
     pub client_ip: Ipv4Addr,
-    /// How many contiguous visit-range shards the decomposable stages fan
-    /// their scans over. `1` (the default) is the monolithic path: every
-    /// stage consumes whole crawls exactly as before, and no shard spans
-    /// are recorded.
-    pub shards: usize,
+    /// How many contiguous visit-range shards [`scan_shards`] fans a scan
+    /// over ([`StudyConfig::shards`]).
+    ///
+    /// [`scan_shards`]: Self::scan_shards
+    shards: usize,
+    /// Where the stages record spans and counters: the study's telemetry,
+    /// with stage shards hanging under the `analyze` span once
+    /// [`Study::analyze`](crate::Study::analyze) has opened it.
+    pub(crate) obs: ObsContext,
+    /// The cells the shared caches count into. Owned by the context, so a
+    /// reused [`StudyConfig`] never piles counts from earlier runs into
+    /// [`cache_counters`](Self::cache_counters).
+    caches: Registry,
 }
 
 impl<'a> AnalysisContext<'a> {
-    /// Derives the shared artifacts from a collected DB.
+    /// Derives the shared artifacts from a collected DB. The artifacts
+    /// that scan whole crawls (third-party extracts, cookie rows) are
+    /// assembled from [`StudyConfig::shards`] per-shard partials merged in
+    /// shard order; they are byte-identical for every shard count.
     ///
     /// Panics if the DB lacks the Spanish porn/regular crawls — the plan
     /// produced by [`StudyConfig::crawl_plan`] always records them.
     pub fn build(world: &'a World, config: &StudyConfig, db: &'a MeasurementDb) -> Self {
-        Self::build_in(world, config, db, &Registry::new())
-    }
-
-    /// [`build`](Self::build) with the shared artifacts that scan whole
-    /// crawls (third-party extracts, cookie rows) computed as `shards`
-    /// per-shard partials merged in shard order. The artifacts — and
-    /// therefore everything derived from them — are byte-identical to
-    /// [`build`]; only peak memory and parallelism change.
-    pub fn build_sharded(
-        world: &'a World,
-        config: &StudyConfig,
-        db: &'a MeasurementDb,
-        shards: usize,
-    ) -> Self {
-        Self::build_sharded_in(world, config, db, &Registry::new(), shards)
-    }
-
-    /// [`build`](Self::build) with every shared cache (eTLD+1 hosts, ATS
-    /// verdicts, third-party extracts, the cert harvest) publishing its
-    /// hit/miss counters as `cache.<name>.{hits,misses}` into `registry`.
-    /// The derived artifacts are identical to [`build`].
-    pub fn build_in(
-        world: &'a World,
-        config: &StudyConfig,
-        db: &'a MeasurementDb,
-        registry: &Registry,
-    ) -> Self {
-        Self::build_sharded_in(world, config, db, registry, 1)
-    }
-
-    /// [`build_in`](Self::build_in) + [`build_sharded`](Self::build_sharded)
-    /// combined: registry-published caches and sharded artifact derivation.
-    pub fn build_sharded_in(
-        world: &'a World,
-        config: &StudyConfig,
-        db: &'a MeasurementDb,
-        registry: &Registry,
-        shards: usize,
-    ) -> Self {
+        let shards = config.shards.max(1);
+        let registry = Registry::new();
         let corpus = CorpusCompiler::new(world).compile();
         let (porn_histories, best_ranks, ranked) = ranked_corpus(world, &corpus.sanitized);
         let tier_of = popularity::tiers_from_histories(&porn_histories);
@@ -320,40 +300,34 @@ impl<'a> AnalysisContext<'a> {
         let regular_es = db
             .crawl(Country::Spain, CorpusLabel::Regular)
             .expect("Spanish regular crawl recorded");
-        let hosts = Arc::new(HostCache::in_registry(registry));
+        let hosts = Arc::new(HostCache::in_registry(&registry));
         let classifier = ats::AtsClassifier::with_hosts_in(
             &world.easylist,
             &world.easyprivacy,
             Arc::clone(&hosts),
-            registry,
+            &registry,
         );
         // Batch classification up front: every crawl's answered requests,
         // deduplicated per distinct interned key and FQDN-grouped. The
         // shared verdict memo ends up in the same state the per-request
         // path would produce, so stages read identical verdicts either way.
         let mut ats_batches: BTreeMap<(Country, CorpusLabel), BatchVerdicts> = BTreeMap::new();
-        if config.batch_classify {
-            for crawl in db.crawls() {
-                ats_batches
-                    .entry((crawl.country, crawl.corpus))
-                    .or_insert_with(|| classifier.classify_batch(crawl.full()));
-            }
+        for crawl in db.crawls() {
+            ats_batches
+                .entry((crawl.country, crawl.corpus))
+                .or_insert_with(|| classifier.classify_batch(crawl.full()));
         }
-        let extracts = ExtractMemo::in_registry(Arc::clone(&hosts), registry);
-        let porn_extract = extracts.get_sharded(porn_es, true, shards);
-        let regular_extract = extracts.get_sharded(regular_es, true, shards);
+        let extracts = ExtractMemo::in_registry(Arc::clone(&hosts), shards, &registry);
+        let porn_extract = extracts.get(porn_es, true);
+        let regular_extract = extracts.get(regular_es, true);
         // Out-of-band TLS probe: connect to port 443 of any contacted FQDN
         // and read its certificate (what the paper's §4.2(3) pipeline did).
         let probe = |host: &str| -> Option<redlight_net::tls::CertSummary> {
             world.resolve_host(host)?;
             Some((&world.cert_for_host(host)).into())
         };
-        let cert_harvest = CertHarvest::collect_in(&[porn_es, regular_es], Some(&probe), registry);
-        let cookie_rows = if shards <= 1 {
-            cookies::collect(porn_es)
-        } else {
-            cookies::merge(porn_es.shards(shards).into_iter().map(cookies::scan))
-        };
+        let cert_harvest = CertHarvest::collect_in(&[porn_es, regular_es], Some(&probe), &registry);
+        let cookie_rows = cookies::merge(porn_es.shards(shards).into_iter().map(cookies::scan));
         let interactions_es: Vec<InteractionRecord> =
             db.interactions_in(Country::Spain).cloned().collect();
         let client_ip = porn_es.client_ip;
@@ -381,7 +355,9 @@ impl<'a> AnalysisContext<'a> {
             cookie_rows,
             interactions_es,
             client_ip,
-            shards: shards.max(1),
+            shards,
+            obs: config.obs.clone(),
+            caches: registry,
         }
     }
 
@@ -391,14 +367,66 @@ impl<'a> AnalysisContext<'a> {
         AtsVerdicts::new(&self.classifier)
     }
 
-    /// The classification view for one crawl: batch-backed when
-    /// [`StudyConfig::batch_classify`] precomputed that crawl's column,
-    /// plain delegation otherwise.
+    /// The classification view for one of the DB's crawls, backed by that
+    /// crawl's precomputed batch column.
     pub fn ats_for(&self, crawl: &CrawlRecord) -> AtsVerdicts<'_> {
-        match self.ats_batches.get(&(crawl.country, crawl.corpus)) {
-            Some(batch) => AtsVerdicts::with_batch(&self.classifier, batch),
-            None => AtsVerdicts::new(&self.classifier),
+        let batch = &self.ats_batches[&(crawl.country, crawl.corpus)];
+        AtsVerdicts::with_batch(&self.classifier, batch)
+    }
+
+    /// The shared caches' `cache.<name>.{hits,misses}` counters, for
+    /// folding into the study's registry once the analysis is done.
+    pub(crate) fn cache_metrics(&self) -> MetricsSnapshot {
+        self.caches.snapshot()
+    }
+
+    /// Fans a per-shard `scan` over `crawl` split into the study's shard
+    /// count and returns the partials in shard order, so a deterministic
+    /// merge downstream sees the same sequence a serial scan would.
+    ///
+    /// One shard is the whole crawl, scanned on the calling thread with no
+    /// telemetry. Otherwise at most [`MAX_SHARD_WORKERS`] workers pull shard
+    /// indices off a shared counter, so peak memory stays O(workers × shard)
+    /// rather than O(crawl); shard `i` records a `stage.<name>.shard.NNN`
+    /// span (with a `visits` attribute) in its own `analyze/<name>/shard.NNN`
+    /// journal shard, parented like the stage spans, and the scan counts
+    /// into `stage.<name>.shard_scans`.
+    fn scan_shards<'c, P: Send>(
+        &self,
+        name: &str,
+        crawl: &'c CrawlRecord,
+        scan: impl Fn(CrawlSlice<'c>) -> P + Sync,
+    ) -> Vec<P> {
+        if self.shards == 1 {
+            return vec![scan(crawl.full())];
         }
+        let slices = crawl.shards(self.shards);
+        let next = AtomicUsize::new(0);
+        let done: Mutex<Vec<(usize, P)>> = Mutex::new(Vec::with_capacity(slices.len()));
+        let workers = slices.len().clamp(1, MAX_SHARD_WORKERS);
+        crossbeam::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|_| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(&slice) = slices.get(i) else { break };
+                    let mut tracer = self.obs.tracer(&format!("analyze/{name}/shard.{i:03}"));
+                    tracer.open(&format!("stage.{name}.shard.{i:03}"));
+                    tracer.attr("visits", slice.len());
+                    let part = scan(slice);
+                    tracer.close();
+                    tracer.finish();
+                    done.lock().expect("shard partials").push((i, part));
+                });
+            }
+        })
+        .expect("shard scan scope");
+        self.obs
+            .metrics
+            .counter(&format!("stage.{name}.shard_scans"))
+            .add(slices.len() as u64);
+        let mut parts = done.into_inner().expect("shard partials");
+        parts.sort_by_key(|&(i, _)| i);
+        parts.into_iter().map(|(_, p)| p).collect()
     }
 
     /// Snapshot of every shared cache's hit/miss counters, in render order.
@@ -678,63 +706,55 @@ impl StageOutputs {
     }
 }
 
-/// Times one stage body; the body returns `(output, inputs, outputs)`.
-fn timed<T>(name: &'static str, body: impl FnOnce() -> (T, usize, usize)) -> (T, StageTiming) {
-    let start = Instant::now();
-    let (out, input_records, output_records) = body();
-    (
-        out,
-        StageTiming {
-            name,
-            wall: start.elapsed(),
-            input_records,
-            output_records,
-        },
-    )
-}
-
-/// Telemetry sinks for an analysis run: stage spans go into `trace` (one
-/// `analyze/<stage>` shard per stage, so concurrent wave-A stages never
-/// contend), stage counters into `metrics`.
-pub struct StageObs<'t> {
-    /// Journal the per-stage spans are recorded into.
-    pub trace: &'t Trace,
-    /// Registry the per-stage record counters are published into.
-    pub metrics: &'t Registry,
-    /// Parent span every stage span hangs under (the `analyze` span).
-    pub parent: Option<SpanLink>,
-}
-
-/// [`timed`], plus a `stage.<name>` span in a dedicated `analyze/<name>`
-/// shard and `stage.<name>.{input,output}_records` counters. Safe to call
+/// Runs one stage body — which returns `(output, inputs, outputs)` — timing
+/// it under a `stage.<name>` span in a dedicated `analyze/<name>` shard and
+/// counting `stage.<name>.{input,output}_records`. Safe to call
 /// concurrently from wave threads: each stage owns its shard, and the
 /// registry is lock-protected.
-fn observed<T>(
-    obs: &StageObs<'_>,
+fn run_stage<T>(
+    ctx: &AnalysisContext<'_>,
     name: &'static str,
     body: impl FnOnce() -> (T, usize, usize),
 ) -> (T, StageTiming) {
-    let shard = format!("analyze/{name}");
-    let mut tracer = match &obs.parent {
-        Some(link) => obs.trace.tracer_under(&shard, link.clone()),
-        None => obs.trace.tracer(&shard),
-    };
+    let obs = &ctx.obs;
+    let mut tracer = obs.tracer(&format!("analyze/{name}"));
     tracer.open(&format!("stage.{name}"));
-    let (out, timing) = timed(name, body);
-    tracer.attr("input_records", timing.input_records);
-    tracer.attr("output_records", timing.output_records);
+    let start = Instant::now();
+    let (out, input_records, output_records) = body();
+    let timing = StageTiming {
+        name,
+        wall: start.elapsed(),
+        input_records,
+        output_records,
+    };
+    tracer.attr("input_records", input_records);
+    tracer.attr("output_records", output_records);
     tracer.close();
     tracer.finish();
     obs.metrics
         .counter(&format!("stage.{name}.input_records"))
-        .add(timing.input_records as u64);
+        .add(input_records as u64);
     obs.metrics
         .counter(&format!("stage.{name}.output_records"))
-        .add(timing.output_records as u64);
+        .add(output_records as u64);
     obs.metrics
         .histogram("stage.output_records")
-        .record(timing.output_records as u64);
+        .record(output_records as u64);
     (out, timing)
+}
+
+/// Joins a spawned stage thread into its output slot and the timing list;
+/// `None` (stage not selected) leaves both untouched.
+fn join<T>(
+    handle: Option<ScopedJoinHandle<'_, (T, StageTiming)>>,
+    slot: &mut Option<T>,
+    timings: &mut Vec<StageTiming>,
+) {
+    if let Some(handle) = handle {
+        let (out, timing) = handle.join().expect("stage thread panicked");
+        *slot = Some(out);
+        timings.push(timing);
+    }
 }
 
 /// Bound on concurrent per-shard scan workers within one stage. The wave
@@ -742,85 +762,17 @@ fn observed<T>(
 /// blow-up when a stage fans out over many shards.
 const MAX_SHARD_WORKERS: usize = 8;
 
-/// Fans a stage's per-shard scan over `crawl.shards(shards)` on a bounded
-/// work queue: at most [`MAX_SHARD_WORKERS`] workers pull shard indices off
-/// a shared counter, so peak memory stays O(workers × shard) rather than
-/// O(crawl). Shard `i` records a `stage.<name>.shard.NNN` span (with a
-/// `visits` attribute) in its own `analyze/<name>/shard.NNN` journal shard,
-/// parented on the same `analyze` root as the stage spans. Partials return
-/// in shard order, so a deterministic merge downstream sees the same
-/// sequence a serial scan would.
-fn scan_shards<'c, P: Send>(
-    obs: &StageObs<'_>,
-    name: &str,
-    crawl: &'c CrawlRecord,
-    shards: usize,
-    scan: impl Fn(CrawlSlice<'c>) -> P + Sync,
-) -> Vec<P> {
-    let slices = crawl.shards(shards);
-    let next = AtomicUsize::new(0);
-    let done: Mutex<Vec<(usize, P)>> = Mutex::new(Vec::with_capacity(slices.len()));
-    let workers = slices.len().clamp(1, MAX_SHARD_WORKERS);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&slice) = slices.get(i) else { break };
-                let journal = format!("analyze/{name}/shard.{i:03}");
-                let mut tracer = match &obs.parent {
-                    Some(link) => obs.trace.tracer_under(&journal, link.clone()),
-                    None => obs.trace.tracer(&journal),
-                };
-                tracer.open(&format!("stage.{name}.shard.{i:03}"));
-                tracer.attr("visits", slice.len());
-                let part = scan(slice);
-                tracer.close();
-                tracer.finish();
-                done.lock().expect("shard partials").push((i, part));
-            });
-        }
-    })
-    .expect("shard scan scope");
-    obs.metrics
-        .counter(&format!("stage.{name}.shard_scans"))
-        .add(slices.len() as u64);
-    let mut parts = done.into_inner().expect("shard partials");
-    parts.sort_by_key(|&(i, _)| i);
-    parts.into_iter().map(|(_, p)| p).collect()
-}
-
 /// Runs the selected stages (a set produced by [`expand_selection`] or
 /// [`all_stages`]) in dependency waves, independent stages concurrently.
-/// Returns the outputs plus one timing per executed stage, in paper order.
+/// Every executed stage records a `stage.<name>` span (with record-count
+/// attributes) and publishes `stage.<name>.{input,output}_records` counters
+/// plus a shared `stage.output_records` histogram into the context's
+/// telemetry. Returns the outputs plus one timing per executed stage, in
+/// paper order.
 pub fn run(
     db: &MeasurementDb,
     ctx: &AnalysisContext<'_>,
     selected: &BTreeSet<&'static str>,
-) -> (StageOutputs, Vec<StageTiming>) {
-    let trace = Trace::disabled();
-    let registry = Registry::new();
-    run_observed(
-        db,
-        ctx,
-        selected,
-        &StageObs {
-            trace: &trace,
-            metrics: &registry,
-            parent: None,
-        },
-    )
-}
-
-/// [`run`] with telemetry: every executed stage records a `stage.<name>`
-/// span (with record-count attributes) and publishes
-/// `stage.<name>.{input,output}_records` counters plus a shared
-/// `stage.output_records` histogram. Outputs and timings are identical to
-/// [`run`].
-pub fn run_observed(
-    db: &MeasurementDb,
-    ctx: &AnalysisContext<'_>,
-    selected: &BTreeSet<&'static str>,
-    obs: &StageObs<'_>,
 ) -> (StageOutputs, Vec<StageTiming>) {
     let mut outputs = StageOutputs::default();
     let mut timings: Vec<StageTiming> = Vec::new();
@@ -829,153 +781,80 @@ pub fn run_observed(
     // ---- Wave A: the 14 independent stages. ----
     crossbeam::thread::scope(|s| {
         let h_corpus = want(CORPUS_SUMMARY)
-            .then(|| s.spawn(|_| observed(obs, CORPUS_SUMMARY, || stage_corpus_summary(ctx))));
+            .then(|| s.spawn(|_| run_stage(ctx, CORPUS_SUMMARY, || stage_corpus_summary(ctx))));
         let h_popularity = want(POPULARITY)
-            .then(|| s.spawn(|_| observed(obs, POPULARITY, || stage_popularity(ctx))));
+            .then(|| s.spawn(|_| run_stage(ctx, POPULARITY, || stage_popularity(ctx))));
         let h_third = want(THIRD_PARTIES)
-            .then(|| s.spawn(|_| observed(obs, THIRD_PARTIES, || stage_third_parties(ctx))));
+            .then(|| s.spawn(|_| run_stage(ctx, THIRD_PARTIES, || stage_third_parties(ctx))));
         let h_orgs = want(ORGANIZATIONS)
-            .then(|| s.spawn(|_| observed(obs, ORGANIZATIONS, || stage_organizations(ctx))));
+            .then(|| s.spawn(|_| run_stage(ctx, ORGANIZATIONS, || stage_organizations(ctx))));
         let h_cookies =
-            want(COOKIES).then(|| s.spawn(|_| observed(obs, COOKIES, || stage_cookies(ctx))));
+            want(COOKIES).then(|| s.spawn(|_| run_stage(ctx, COOKIES, || stage_cookies(ctx))));
         let h_sync = want(COOKIE_SYNC)
-            .then(|| s.spawn(|_| observed(obs, COOKIE_SYNC, || stage_cookie_sync(ctx, obs))));
+            .then(|| s.spawn(|_| run_stage(ctx, COOKIE_SYNC, || stage_cookie_sync(ctx))));
         let h_webrtc =
-            want(WEBRTC).then(|| s.spawn(|_| observed(obs, WEBRTC, || stage_webrtc(ctx, obs))));
-        let h_https =
-            want(HTTPS).then(|| s.spawn(|_| observed(obs, HTTPS, || stage_https(ctx, obs))));
+            want(WEBRTC).then(|| s.spawn(|_| run_stage(ctx, WEBRTC, || stage_webrtc(ctx))));
+        let h_https = want(HTTPS).then(|| s.spawn(|_| run_stage(ctx, HTTPS, || stage_https(ctx))));
         let h_malware =
-            want(MALWARE).then(|| s.spawn(|_| observed(obs, MALWARE, || stage_malware(ctx, obs))));
-        let h_geo = want(GEO).then(|| s.spawn(|_| observed(obs, GEO, || stage_geo(db, ctx))));
+            want(MALWARE).then(|| s.spawn(|_| run_stage(ctx, MALWARE, || stage_malware(ctx))));
+        let h_geo = want(GEO).then(|| s.spawn(|_| run_stage(ctx, GEO, || stage_geo(db, ctx))));
         let h_banners = want(CONSENT_BANNERS).then(|| {
-            s.spawn(|_| observed(obs, CONSENT_BANNERS, || stage_consent_banners(db, ctx, obs)))
+            s.spawn(|_| run_stage(ctx, CONSENT_BANNERS, || stage_consent_banners(db, ctx)))
         });
         let h_policies =
-            want(POLICIES).then(|| s.spawn(|_| observed(obs, POLICIES, || stage_policies(ctx))));
+            want(POLICIES).then(|| s.spawn(|_| run_stage(ctx, POLICIES, || stage_policies(ctx))));
         let h_monetization = want(MONETIZATION)
-            .then(|| s.spawn(|_| observed(obs, MONETIZATION, || stage_monetization(ctx))));
+            .then(|| s.spawn(|_| run_stage(ctx, MONETIZATION, || stage_monetization(ctx))));
         let h_gates = want(AGE_GATES)
-            .then(|| s.spawn(|_| observed(obs, AGE_GATES, || stage_age_gates(db, ctx))));
+            .then(|| s.spawn(|_| run_stage(ctx, AGE_GATES, || stage_age_gates(db, ctx))));
 
-        let join = "stage thread panicked";
-        if let Some(h) = h_corpus {
-            let (out, t) = h.join().expect(join);
-            outputs.corpus_summary = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_popularity {
-            let (out, t) = h.join().expect(join);
-            outputs.popularity = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_third {
-            let (out, t) = h.join().expect(join);
-            outputs.third_parties = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_orgs {
-            let (out, t) = h.join().expect(join);
-            outputs.organizations = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_cookies {
-            let (out, t) = h.join().expect(join);
-            outputs.cookies = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_sync {
-            let (out, t) = h.join().expect(join);
-            outputs.cookie_sync = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_webrtc {
-            let (out, t) = h.join().expect(join);
-            outputs.webrtc = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_https {
-            let (out, t) = h.join().expect(join);
-            outputs.https = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_malware {
-            let (out, t) = h.join().expect(join);
-            outputs.malware = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_geo {
-            let (out, t) = h.join().expect(join);
-            outputs.geo = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_banners {
-            let (out, t) = h.join().expect(join);
-            outputs.consent_banners = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_policies {
-            let (out, t) = h.join().expect(join);
-            outputs.policies = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_monetization {
-            let (out, t) = h.join().expect(join);
-            outputs.monetization = Some(out);
-            timings.push(t);
-        }
-        if let Some(h) = h_gates {
-            let (out, t) = h.join().expect(join);
-            outputs.age_gates = Some(out);
-            timings.push(t);
-        }
+        let o = &mut outputs;
+        join(h_corpus, &mut o.corpus_summary, &mut timings);
+        join(h_popularity, &mut o.popularity, &mut timings);
+        join(h_third, &mut o.third_parties, &mut timings);
+        join(h_orgs, &mut o.organizations, &mut timings);
+        join(h_cookies, &mut o.cookies, &mut timings);
+        join(h_sync, &mut o.cookie_sync, &mut timings);
+        join(h_webrtc, &mut o.webrtc, &mut timings);
+        join(h_https, &mut o.https, &mut timings);
+        join(h_malware, &mut o.malware, &mut timings);
+        join(h_geo, &mut o.geo, &mut timings);
+        join(h_banners, &mut o.consent_banners, &mut timings);
+        join(h_policies, &mut o.policies, &mut timings);
+        join(h_monetization, &mut o.monetization, &mut timings);
+        join(h_gates, &mut o.age_gates, &mut timings);
     })
     .expect("crossbeam scope");
 
     // ---- Wave B: stages reading wave-A outputs. ----
+    let (mut fingerprinting, mut ownership) = (None, None);
     crossbeam::thread::scope(|s| {
         let rtc = &outputs.webrtc;
         let docs = &outputs.policies;
         let h_fp = want(FINGERPRINTING).then(|| {
             s.spawn(move |_| {
                 let rtc = rtc.as_ref().expect("webrtc ran (dependency)");
-                observed(obs, FINGERPRINTING, || stage_fingerprinting(ctx, rtc, obs))
+                run_stage(ctx, FINGERPRINTING, || stage_fingerprinting(ctx, rtc))
             })
         });
         let h_owners = want(OWNERSHIP).then(|| {
             s.spawn(move |_| {
                 let (docs, _) = docs.as_ref().expect("policies ran (dependency)");
-                observed(obs, OWNERSHIP, || stage_ownership(ctx, docs))
+                run_stage(ctx, OWNERSHIP, || stage_ownership(ctx, docs))
             })
         });
-
-        let mut wave_b = Vec::new();
-        if let Some(h) = h_fp {
-            let (out, t) = h.join().expect("stage thread panicked");
-            wave_b.push((Some(out), None, t));
-        }
-        if let Some(h) = h_owners {
-            let (out, t) = h.join().expect("stage thread panicked");
-            wave_b.push((None, Some(out), t));
-        }
-        wave_b
+        join(h_fp, &mut fingerprinting, &mut timings);
+        join(h_owners, &mut ownership, &mut timings);
     })
-    .expect("crossbeam scope")
-    .into_iter()
-    .for_each(|(fp, owners_out, t)| {
-        if let Some(fp) = fp {
-            outputs.fingerprinting = Some(fp);
-        }
-        if let Some(o) = owners_out {
-            outputs.ownership = Some(o);
-        }
-        timings.push(t);
-    });
+    .expect("crossbeam scope");
+    outputs.fingerprinting = fingerprinting;
+    outputs.ownership = ownership;
 
     // ---- Wave C: the disclosure check (needs fingerprinting + policies). ----
     if want(DISCLOSURE) {
         let (fp, _) = outputs.fingerprinting.as_ref().expect("fingerprinting ran");
         let (docs, _) = outputs.policies.as_ref().expect("policies ran");
-        let (out, t) = observed(obs, DISCLOSURE, || stage_disclosure(ctx, fp, docs));
+        let (out, t) = run_stage(ctx, DISCLOSURE, || stage_disclosure(ctx, fp, docs));
         outputs.disclosure = Some(out);
         timings.push(t);
     }
@@ -1054,45 +933,31 @@ fn stage_cookies(ctx: &AnalysisContext<'_>) -> ((CookieStats, Vec<Table4Row>), u
     ((stats, table4), ctx.cookie_rows.len(), produced)
 }
 
-fn stage_cookie_sync(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (SyncReport, usize, usize) {
+fn stage_cookie_sync(ctx: &AnalysisContext<'_>) -> (SyncReport, usize, usize) {
     let top_k = 100.min(ctx.ranked.len());
     let options = SyncOptions::default();
-    let report = if ctx.shards <= 1 {
-        sync::detect_cached(ctx.porn_es, &ctx.ranked, top_k, options, &ctx.hosts)
-    } else {
-        // Two sharded passes: register every cookie value with its globally
-        // earliest setter, then match request parameters against the merged
-        // registrations (session order is honoured via the first-set index).
-        let regs = sync::merge_registrations(scan_shards(
-            obs,
-            "cookie-sync.registrations",
-            ctx.porn_es,
-            ctx.shards,
-            |slice| sync::scan_registrations(slice, options, &ctx.hosts),
-        ));
-        let matches = sync::merge_matches(scan_shards(
-            obs,
-            "cookie-sync.matches",
-            ctx.porn_es,
-            ctx.shards,
-            |slice| sync::scan_matches(slice, &regs, options, &ctx.hosts),
-        ));
-        sync::finalize(matches, &ctx.ranked, top_k)
-    };
+    // Two passes: register every cookie value with its globally earliest
+    // setter, then match request parameters against the merged
+    // registrations (session order is honoured via the first-set index).
+    let regs = sync::merge_registrations(ctx.scan_shards(
+        "cookie-sync.registrations",
+        ctx.porn_es,
+        |slice| sync::scan_registrations(slice, options, &ctx.hosts),
+    ));
+    let matches = sync::merge_matches(ctx.scan_shards(
+        "cookie-sync.matches",
+        ctx.porn_es,
+        |slice| sync::scan_matches(slice, &regs, options, &ctx.hosts),
+    ));
+    let report = sync::finalize(matches, &ctx.ranked, top_k);
     let produced = report.pairs.len();
     (report, ctx.porn_es.success_count(), produced)
 }
 
-fn stage_webrtc(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (WebRtcReport, usize, usize) {
+fn stage_webrtc(ctx: &AnalysisContext<'_>) -> (WebRtcReport, usize, usize) {
     let ats = ctx.ats_for(ctx.porn_es);
-    let report = if ctx.shards <= 1 {
-        webrtc::detect(ctx.porn_es, ats)
-    } else {
-        let parts = scan_shards(obs, WEBRTC, ctx.porn_es, ctx.shards, |slice| {
-            webrtc::scan(slice, ats)
-        });
-        webrtc::finalize(webrtc::merge(parts), ats)
-    };
+    let parts = ctx.scan_shards(WEBRTC, ctx.porn_es, |slice| webrtc::scan(slice, ats));
+    let report = webrtc::finalize(webrtc::merge(parts), ats);
     let produced = report.scripts.len();
     (report, ctx.porn_es.success_count(), produced)
 }
@@ -1100,17 +965,12 @@ fn stage_webrtc(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (WebRtcReport,
 fn stage_fingerprinting(
     ctx: &AnalysisContext<'_>,
     rtc: &WebRtcReport,
-    obs: &StageObs<'_>,
 ) -> ((FingerprintReport, Vec<Table5Row>), usize, usize) {
     let ats = ctx.ats_for(ctx.porn_es);
-    let fp = if ctx.shards <= 1 {
-        fingerprint::detect(ctx.porn_es, ats)
-    } else {
-        let parts = scan_shards(obs, FINGERPRINTING, ctx.porn_es, ctx.shards, |slice| {
-            fingerprint::scan(slice, ats)
-        });
-        fingerprint::finalize(fingerprint::merge(parts))
-    };
+    let parts = ctx.scan_shards(FINGERPRINTING, ctx.porn_es, |slice| {
+        fingerprint::scan(slice, ats)
+    });
+    let fp = fingerprint::finalize(fingerprint::merge(parts));
     let table5 = fingerprint::table5(
         &fp,
         rtc,
@@ -1123,29 +983,20 @@ fn stage_fingerprinting(
     ((fp, table5), ctx.porn_es.success_count(), produced)
 }
 
-fn stage_https(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (HttpsReport, usize, usize) {
-    let report = if ctx.shards <= 1 {
-        https::report(ctx.porn_es, &ctx.tier_of, ctx.client_ip)
-    } else {
-        let parts = scan_shards(obs, HTTPS, ctx.porn_es, ctx.shards, |slice| {
-            https::scan(slice, &ctx.tier_of, ctx.client_ip)
-        });
-        https::finalize(https::merge(parts))
-    };
+fn stage_https(ctx: &AnalysisContext<'_>) -> (HttpsReport, usize, usize) {
+    let parts = ctx.scan_shards(HTTPS, ctx.porn_es, |slice| {
+        https::scan(slice, &ctx.tier_of, ctx.client_ip)
+    });
+    let report = https::finalize(https::merge(parts));
     let produced = report.rows.len();
     (report, ctx.porn_es.visits.len(), produced)
 }
 
-fn stage_malware(ctx: &AnalysisContext<'_>, obs: &StageObs<'_>) -> (MalwareReport, usize, usize) {
+fn stage_malware(ctx: &AnalysisContext<'_>) -> (MalwareReport, usize, usize) {
     let threat = WorldThreatFeed(ctx.world);
-    let report = if ctx.shards <= 1 {
-        malware::detect(ctx.porn_es, &threat)
-    } else {
-        let parts = scan_shards(obs, MALWARE, ctx.porn_es, ctx.shards, |slice| {
-            malware::scan(slice, &threat)
-        });
-        malware::merge(parts)
-    };
+    let report = malware::merge(
+        ctx.scan_shards(MALWARE, ctx.porn_es, |slice| malware::scan(slice, &threat)),
+    );
     let produced = report.flagged_sites.len() + report.mining_sites.len();
     (report, ctx.porn_es.success_count(), produced)
 }
@@ -1170,7 +1021,7 @@ fn stage_geo(
                 .crawl(country, CorpusLabel::Porn)
                 .expect("per-country porn crawl recorded");
             input += crawl.visits.len();
-            let extract = ctx.extracts.get_sharded(crawl, false, ctx.shards);
+            let extract = ctx.extracts.get(crawl, false);
             geo::summarize_extracted(crawl, &extract, ctx.ats_for(crawl), &threat)
         })
         .collect();
@@ -1183,32 +1034,24 @@ fn stage_geo(
 fn stage_consent_banners(
     db: &MeasurementDb,
     ctx: &AnalysisContext<'_>,
-    obs: &StageObs<'_>,
 ) -> ((BannerBreakdown, BannerBreakdown), usize, usize) {
-    let oracle = InspectionOracle::new(&ctx.world.sites);
-    let verify = |domain: &str| oracle.confirm_banner(domain);
     let breakdown = |crawl: &CrawlRecord, tag: &str| {
-        if ctx.shards <= 1 {
-            let (b, _) = consent::breakdown(crawl, &verify);
-            b
-        } else {
-            // Each worker gets its own oracle: the shared one counts its
-            // queries in a `Cell`, which must not cross shard threads.
-            let parts = scan_shards(obs, tag, crawl, ctx.shards, |slice| {
+        // Each scan gets its own oracle: an oracle counts its queries in a
+        // `Cell`, which must not cross shard threads.
+        let mut parts = ctx
+            .scan_shards(tag, crawl, |slice| {
                 let oracle = InspectionOracle::new(&ctx.world.sites);
-                let verify = |domain: &str| oracle.confirm_banner(domain);
-                consent::scan(slice, &verify)
-            });
-            let mut observations = Vec::new();
-            let mut rejected = 0usize;
-            for (part, part_rejected) in parts {
-                observations.extend(part);
-                rejected += part_rejected;
-            }
-            let (b, _) =
-                consent::finalize(crawl.country, crawl.success_count(), observations, rejected);
-            b
+                consent::scan(slice, &|domain: &str| oracle.confirm_banner(domain))
+            })
+            .into_iter();
+        let (mut observations, mut rejected) = parts.next().unwrap_or_default();
+        for (part, part_rejected) in parts {
+            observations.extend(part);
+            rejected += part_rejected;
         }
+        let (b, _) =
+            consent::finalize(crawl.country, crawl.success_count(), observations, rejected);
+        b
     };
     let banners_eu = breakdown(ctx.porn_es, "consent-banners.eu");
     // The paper's Table 8 contrasts the EU with the USA; without a USA

@@ -1,26 +1,31 @@
 //! The end-to-end pipeline driver: plan the crawls, collect the
 //! measurement database, run the analysis stages, assemble the results.
 //!
-//! The pipeline has three layers:
+//! The pipeline has three layers, each with one entry point:
 //!
 //! 1. **Collection** — [`StudyConfig::crawl_plan`] derives a
 //!    [`CrawlPlan`] (countries × corpora × store-DOM flags plus the
 //!    Selenium interaction crawls) and [`Study::collect_db`] executes it,
 //!    recording *every* crawl into a [`MeasurementDb`].
-//! 2. **Analysis** — [`crate::stages`] derives the shared
-//!    [`AnalysisContext`](crate::stages::AnalysisContext) and runs the
-//!    named stages over the DB, independent stages concurrently.
+//! 2. **Analysis** — [`Study::analyze`] derives the shared
+//!    [`AnalysisContext`] and runs the selected stages over the DB,
+//!    independent stages concurrently.
 //! 3. **Reporting** — per-crawl and per-stage timings land in a
-//!    [`StageReport`](crate::results::StageReport) inside
-//!    [`StudyResults`].
+//!    [`StageReport`] inside [`StudyResults`].
 //!
-//! [`Study::collect_db`] is the literal first half of [`Study::run_on`]:
-//! downstream consumers that only want the raw tables call it and stop.
+//! [`Study::run_on`] is exactly `collect_db` then `analyze` over every
+//! stage; `reproduce --stage` runs the same two calls over a subset.
+//! Telemetry and the analysis shard count travel on the [`StudyConfig`]
+//! every layer receives: [`StudyConfig::obs`] (off by default) collects the
+//! span journal and metrics, and [`StudyConfig::shards`] fans the
+//! decomposable analysis scans over visit-range shards. Neither changes
+//! the results.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use redlight_crawler::corpus::CorpusCompiler;
 use redlight_crawler::db::{CorpusLabel, MeasurementDb};
 use redlight_crawler::openwpm::CrawlConfig;
-use redlight_crawler::parallel::CrawlObs;
 use redlight_crawler::plan::{
     CrawlPlan, CrawlSpec, CrawlTiming, DomainSel, InteractionSpec, PlanDomains,
 };
@@ -30,7 +35,7 @@ use redlight_obs::ObsContext;
 use redlight_websim::{World, WorldConfig};
 
 use crate::results::{StageReport, StudyResults};
-use crate::stages::{self, AnalysisContext, StageObs, GATE_COUNTRIES};
+use crate::stages::{self, AnalysisContext, StageOutputs, GATE_COUNTRIES};
 
 /// Study parameters.
 #[derive(Debug, Clone)]
@@ -48,11 +53,14 @@ pub struct StudyConfig {
     /// metered / fault-injecting) plus the visit retry policy. The default
     /// injects nothing, so results stay byte-identical to a direct run.
     pub net: NetProfile,
-    /// Classify each crawl's requests in one batched pass (grouped by host,
-    /// deduped per distinct interned URL) instead of per request. Verdicts
-    /// are byte-identical either way; batching only changes the walk order
-    /// and lets every duplicate request hit the precomputed column.
-    pub batch_classify: bool,
+    /// Telemetry every layer records into: the span journal (disabled by
+    /// default) and the metrics registry. Results never depend on it.
+    pub obs: ObsContext,
+    /// How many contiguous visit-range shards the decomposable analysis
+    /// scans fan over. `1` (the default) scans each crawl whole on the
+    /// calling thread; larger counts bound per-scan memory by the shard
+    /// size. Results are byte-identical for every count.
+    pub shards: usize,
 }
 
 impl StudyConfig {
@@ -64,7 +72,8 @@ impl StudyConfig {
             agegate_top_n: 50,
             max_policy_pairs: 1_300_000,
             net: NetProfile::default(),
-            batch_classify: true,
+            obs: ObsContext::disabled(),
+            shards: 1,
         }
     }
 
@@ -76,7 +85,8 @@ impl StudyConfig {
             agegate_top_n: 12,
             max_policy_pairs: 40_000,
             net: NetProfile::default(),
-            batch_classify: true,
+            obs: ObsContext::disabled(),
+            shards: 1,
         }
     }
 
@@ -88,7 +98,8 @@ impl StudyConfig {
             agegate_top_n: 8,
             max_policy_pairs: 5_000,
             net: NetProfile::default(),
-            batch_classify: true,
+            obs: ObsContext::disabled(),
+            shards: 1,
         }
     }
 
@@ -156,6 +167,17 @@ impl StudyConfig {
     }
 }
 
+/// The analysis half of a run: the outputs of the stages that ran, the
+/// instrumentation report and the rank artifact results assembly needs.
+pub struct Analysis {
+    /// One slot per stage, filled for the stages that ran.
+    pub outputs: StageOutputs,
+    /// Per-domain best 2018 rank.
+    pub best_ranks: BTreeMap<String, u32>,
+    /// Crawl, stage, cache and shard instrumentation.
+    pub report: StageReport,
+}
+
 /// The study driver.
 pub struct Study;
 
@@ -165,21 +187,13 @@ impl Study {
     /// OpenWPM-SQLite stand-in) with per-crawl wall times. This is the
     /// literal first half of [`Study::run_on`]; downstream consumers that
     /// want to run their own analyses call it and read the tables.
+    ///
+    /// Records a `collect` span (one `corpus.compile` child, then
+    /// per-crawl subtrees in per-worker shards) into `config.obs.trace` and
+    /// publishes every transport and crawl counter into
+    /// `config.obs.metrics`.
     pub fn collect_db(world: &World, config: &StudyConfig) -> (MeasurementDb, Vec<CrawlTiming>) {
-        Self::collect_db_observed(world, config, &ObsContext::disabled())
-    }
-
-    /// [`collect_db`](Self::collect_db) with telemetry: records a `collect`
-    /// root span (one `corpus.compile` child, then per-crawl subtrees in
-    /// per-worker shards) into `obs.trace` and publishes every transport
-    /// and crawl counter into `obs.metrics`. The db and timings are
-    /// byte-identical to the unobserved path.
-    pub fn collect_db_observed(
-        world: &World,
-        config: &StudyConfig,
-        obs: &ObsContext,
-    ) -> (MeasurementDb, Vec<CrawlTiming>) {
-        let mut tracer = obs.trace.tracer("collect");
+        let mut tracer = config.obs.tracer("collect");
         tracer.open("collect");
 
         tracer.open("corpus.compile");
@@ -190,11 +204,6 @@ impl Study {
         tracer.attr("sanitized", corpus.sanitized.len());
         tracer.close();
 
-        let crawl_obs = CrawlObs {
-            trace: obs.trace.clone(),
-            metrics: obs.metrics.clone(),
-            parent: tracer.link(),
-        };
         let (db, timings) = config.crawl_plan().execute_observed(
             world,
             PlanDomains {
@@ -202,12 +211,56 @@ impl Study {
                 regular: &corpus.reference_regular,
                 agegate_top: &top,
             },
-            &crawl_obs,
+            &ObsContext {
+                parent: tracer.link(),
+                ..config.obs.clone()
+            },
         );
         tracer.attr("crawls", timings.len());
         tracer.close();
         tracer.finish();
         (db, timings)
+    }
+
+    /// The analysis layer: builds the [`AnalysisContext`] and runs the
+    /// `selected` stages over `db` (see [`stages::expand_selection`]),
+    /// reporting `crawls` alongside the stage timings. This is the literal
+    /// second half of [`Study::run_on`].
+    ///
+    /// Records an `analyze` span (one `context.build` child, then a
+    /// `stage.<name>` span per stage in per-stage shards) into
+    /// `config.obs.trace` and publishes the stage and cache counters into
+    /// `config.obs.metrics`.
+    pub fn analyze(
+        world: &World,
+        config: &StudyConfig,
+        db: &MeasurementDb,
+        crawls: Vec<CrawlTiming>,
+        selected: &BTreeSet<&'static str>,
+    ) -> Analysis {
+        let mut tracer = config.obs.tracer("analyze");
+        tracer.open("analyze");
+        tracer.open("context.build");
+        let mut ctx = AnalysisContext::build(world, config, db);
+        tracer.attr("corpus_sanitized", ctx.corpus.sanitized.len());
+        tracer.close();
+        ctx.obs.parent = tracer.link();
+        let (outputs, stage_timings) = stages::run(db, &ctx, selected);
+        tracer.attr("stages", stage_timings.len());
+        tracer.close();
+        tracer.finish();
+
+        config.obs.metrics.absorb(&ctx.cache_metrics());
+        Analysis {
+            outputs,
+            report: StageReport {
+                crawls,
+                stages: stage_timings,
+                caches: ctx.cache_counters(),
+                shards: stages::shard_stats(db, config.shards),
+            },
+            best_ranks: std::mem::take(&mut ctx.best_ranks),
+        }
     }
 
     /// Runs the full pipeline and returns every table/figure.
@@ -217,81 +270,14 @@ impl Study {
     }
 
     /// Runs the pipeline on an existing world (lets callers keep the world
-    /// for validation against ground truth).
+    /// for validation against ground truth): [`collect_db`](Self::collect_db)
+    /// then [`analyze`](Self::analyze) over every stage.
     pub fn run_on(world: &World, config: &StudyConfig) -> StudyResults {
-        Self::run_on_observed(world, config, &ObsContext::disabled())
-    }
-
-    /// [`run_on`](Self::run_on) with the analysis layer fanned over
-    /// `shards` contiguous visit-range shards: the decomposable stages scan
-    /// per-shard partials off a bounded work queue and merge them in shard
-    /// order, so peak per-stage memory is O(shard) instead of O(crawl).
-    /// Results are byte-identical to [`run_on`] for every shard count; the
-    /// [`StageReport`] additionally carries per-crawl [`ShardStat`] rows
-    /// when `shards > 1`.
-    ///
-    /// [`ShardStat`]: crate::results::ShardStat
-    pub fn run_on_sharded(world: &World, config: &StudyConfig, shards: usize) -> StudyResults {
-        Self::run_on_sharded_observed(world, config, &ObsContext::disabled(), shards)
-    }
-
-    /// [`run_on`](Self::run_on) with telemetry: the collection layer
-    /// journals under a `collect` root span, the analysis layer under an
-    /// `analyze` root (one `context.build` child plus a `stage.<name>`
-    /// span per stage), and every transport/cache/stage counter lands in
-    /// `obs.metrics`. Results are byte-identical to [`run_on`].
-    pub fn run_on_observed(world: &World, config: &StudyConfig, obs: &ObsContext) -> StudyResults {
-        Self::run_on_sharded_observed(world, config, obs, 1)
-    }
-
-    /// [`run_on_sharded`](Self::run_on_sharded) with telemetry: sharded
-    /// stages additionally record one `stage.<name>.shard.NNN` span per
-    /// shard scan. At `shards == 1` the span layout, metrics and results
-    /// are byte-identical to [`run_on_observed`](Self::run_on_observed).
-    pub fn run_on_sharded_observed(
-        world: &World,
-        config: &StudyConfig,
-        obs: &ObsContext,
-        shards: usize,
-    ) -> StudyResults {
-        // Layer 1: collect every crawl into the measurement DB.
-        let (db, crawl_timings) = Self::collect_db_observed(world, config, obs);
-
-        // Layer 2: derive shared artifacts, then run all analysis stages.
-        let mut tracer = obs.trace.tracer("analyze");
-        tracer.open("analyze");
-        tracer.open("context.build");
-        let ctx = AnalysisContext::build_sharded_in(world, config, &db, &obs.metrics, shards);
-        tracer.attr("corpus_sanitized", ctx.corpus.sanitized.len());
-        tracer.close();
-        let stage_obs = StageObs {
-            trace: &obs.trace,
-            metrics: &obs.metrics,
-            parent: tracer.link(),
-        };
-        let (outputs, stage_timings) =
-            stages::run_observed(&db, &ctx, &stages::all_stages(), &stage_obs);
-        tracer.attr("stages", stage_timings.len());
-        tracer.close();
-        tracer.finish();
-
-        // Layer 3: assemble results with the instrumentation report.
-        let best_ranks = ctx.best_ranks.clone();
-        let caches = ctx.cache_counters();
-        let shard_rows = if shards > 1 {
-            stages::shard_stats(&db, shards)
-        } else {
-            Vec::new()
-        };
-        outputs.into_results(
-            best_ranks,
-            StageReport {
-                crawls: crawl_timings,
-                stages: stage_timings,
-                caches,
-                shards: shard_rows,
-            },
-        )
+        let (db, crawls) = Self::collect_db(world, config);
+        let analysis = Self::analyze(world, config, &db, crawls, &stages::all_stages());
+        analysis
+            .outputs
+            .into_results(analysis.best_ranks, analysis.report)
     }
 }
 

@@ -17,12 +17,12 @@
 //! * [`store`] — the columnar shard store: arena-backed string interning
 //!   ([`store::StrTable`] / [`store::Sym`]) and zero-copy
 //!   [`store::CrawlSlice`] shards the map/reduce analysis streams;
-//! * [`parallel`] — a crossbeam worker pool that runs independent crawl
-//!   jobs concurrently (crawls are independent sessions; within a crawl the
-//!   session is sequential, preserving cookie-sync observability);
 //! * [`plan`] — the [`CrawlPlan`](plan::CrawlPlan): every crawl a study
 //!   performs, declared as data and executed through one code path into a
-//!   [`MeasurementDb`] with per-crawl wall timings.
+//!   [`MeasurementDb`] with per-crawl wall timings. Its job runner is a
+//!   crossbeam worker pool: crawls are independent sessions and run
+//!   concurrently, while within a crawl the session is sequential,
+//!   preserving cookie-sync observability.
 //!
 //! Every crawl fetches through the transport seam
 //! ([`redlight_net::transport`]): its [`NetProfile`] — carried on the plan
@@ -35,7 +35,7 @@
 pub mod corpus;
 pub mod db;
 pub mod openwpm;
-pub mod parallel;
+mod parallel;
 pub mod plan;
 pub mod selenium;
 pub mod store;

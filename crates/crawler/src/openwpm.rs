@@ -72,26 +72,22 @@ impl<'w> OpenWpmCrawler<'w> {
         self
     }
 
-    /// Crawls `domains` sequentially in one browser session.
+    /// Crawls `domains` sequentially in one browser session, with
+    /// telemetry off.
     pub fn crawl(&self, domains: &[String]) -> CrawlRecord {
-        self.crawl_metered(domains).0
-    }
-
-    /// Like [`crawl`](Self::crawl), but also returns the transport-layer
-    /// counters when the profile meters (`None` on bare stacks).
-    pub fn crawl_metered(&self, domains: &[String]) -> (CrawlRecord, Option<TransportStats>) {
-        let trace = Trace::disabled();
-        let mut tracer = trace.tracer("crawl");
+        let mut tracer = Trace::disabled().tracer("crawl");
         self.crawl_observed(domains, &mut tracer, &Registry::new())
+            .0
     }
 
-    /// [`crawl_metered`](Self::crawl_metered) with telemetry: the crawl
-    /// records a `crawl.openwpm.<country>.<corpus>` span with one
-    /// `visits.NNN` child per [`VISIT_BATCH`] sites into `tracer`, and
-    /// publishes `transport.*` counters, `transport.retries`,
-    /// `crawl.failed_visits` and the `crawl.attempts` /
-    /// `crawl.requests_per_visit` histograms into `registry`. Crawl
-    /// results are byte-identical to the unobserved path.
+    /// Crawls `domains` sequentially in one browser session, returning the
+    /// record with the transport-layer counters when the profile meters
+    /// (`None` on bare stacks). The crawl records a
+    /// `crawl.openwpm.<country>.<corpus>` span with one `visits.NNN` child
+    /// per [`VISIT_BATCH`] sites into `tracer`, and publishes `transport.*`
+    /// counters, `transport.retries`, `crawl.failed_visits` and the
+    /// `crawl.attempts` / `crawl.requests_per_visit` histograms into
+    /// `registry`. The record does not depend on either.
     pub fn crawl_observed(
         &self,
         domains: &[String],

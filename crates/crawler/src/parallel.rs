@@ -1,288 +1,235 @@
-//! Parallel crawl execution.
+//! Parallel crawl execution, behind [`CrawlPlan::execute`](crate::plan::CrawlPlan::execute).
 //!
 //! Crawls are independent browser sessions, so they parallelize cleanly
 //! across a crossbeam scoped-thread pool; **within** one crawl the visits
 //! stay sequential because the paper keeps a single browser session alive to
 //! observe cookie syncing (§3.1) — which also keeps each session's transport
 //! stack (meters, fault injectors) deterministic regardless of thread
-//! interleaving. Two job shapes exist: [`CrawlJob`] for OpenWPM-style sweeps
-//! (heterogeneous country × corpus × store-DOM configurations) and
-//! [`InteractionJob`] for Selenium-style interaction crawls. Both report
-//! per-job wall times and transport counters for the stage report.
+//! interleaving. Both planned crawl shapes — [`CrawlSpec`] for OpenWPM-style
+//! sweeps and [`InteractionSpec`] for Selenium-style interaction crawls —
+//! run through one job runner that records each job's spans and counters
+//! into the plan's [`ObsContext`] and reports each job's [`CrawlTiming`].
 
 use std::time::{Duration, Instant};
 
-use redlight_net::geoip::Country;
-use redlight_net::transport::{NetProfile, TransportStats};
-use redlight_obs::{Registry, SpanLink, Trace};
+use redlight_obs::{ObsContext, Registry, Tracer};
 use redlight_websim::World;
 
-use crate::db::{CorpusLabel, CrawlRecord, InteractionRecord};
-use crate::openwpm::{corpus_slug, CrawlConfig, OpenWpmCrawler};
+use crate::db::{CrawlRecord, InteractionRecord};
+use crate::openwpm::{corpus_slug, OpenWpmCrawler};
+use crate::plan::{CrawlSpec, CrawlTiming, InteractionSpec};
 use crate::selenium::SeleniumCrawler;
 
-/// The telemetry plumbing a batch of crawl jobs records into: each worker
-/// gets its own tracer shard (named by job index, so shard names — and the
-/// merged journal — never depend on thread scheduling) and its own scratch
-/// [`Registry`], whose snapshot is absorbed into `metrics` in job order
-/// after the pool joins.
-#[derive(Debug, Clone)]
-pub struct CrawlObs {
-    /// Span collector shared with the study.
-    pub trace: Trace,
-    /// Study-wide registry worker snapshots fold into.
-    pub metrics: Registry,
-    /// Span the per-crawl shards hang under (the study's `collect` span).
-    pub parent: Option<SpanLink>,
+/// A planned crawl the job runner can execute.
+pub(crate) trait Job: Sync {
+    /// What the crawl records.
+    type Output: Send;
+
+    /// Journal shard for job `index`. Derived from the index, so shard
+    /// names — and the merged journal — never depend on thread scheduling.
+    fn shard(&self, index: usize) -> String;
+
+    /// Crawls `domains`, recording spans into `tracer` and counters into
+    /// `registry`. The timing's `wall` is left for the runner to fill.
+    fn run(
+        &self,
+        world: &World,
+        domains: &[String],
+        tracer: &mut Tracer,
+        registry: &Registry,
+    ) -> (Self::Output, CrawlTiming);
 }
 
-impl CrawlObs {
-    /// The no-op plumbing the unobserved entry points run with.
-    pub fn disabled() -> Self {
-        CrawlObs {
-            trace: Trace::disabled(),
-            metrics: Registry::new(),
-            parent: None,
-        }
+impl Job for CrawlSpec {
+    type Output = CrawlRecord;
+
+    fn shard(&self, index: usize) -> String {
+        format!(
+            "collect/openwpm.{index:02}.{}.{}",
+            self.config.country.code().to_ascii_lowercase(),
+            corpus_slug(self.config.corpus),
+        )
+    }
+
+    fn run(
+        &self,
+        world: &World,
+        domains: &[String],
+        tracer: &mut Tracer,
+        registry: &Registry,
+    ) -> (CrawlRecord, CrawlTiming) {
+        let (record, net) = OpenWpmCrawler::new(world, self.config.clone())
+            .with_net(self.net.clone())
+            .crawl_observed(domains, tracer, registry);
+        // One pass over the visit column for all three totals.
+        let rollup = record.rollup();
+        let timing = CrawlTiming {
+            crawler: "openwpm",
+            country: record.country,
+            corpus: Some(record.corpus),
+            sites: record.visits.len(),
+            attempts: rollup.attempts,
+            retries: rollup.retries,
+            failures: rollup.failures,
+            wall: Duration::ZERO,
+            net,
+        };
+        (record, timing)
     }
 }
 
-/// One OpenWPM-style crawl job: a full crawler configuration plus the
-/// domain list it sweeps and the network it runs over.
-#[derive(Debug, Clone)]
-pub struct CrawlJob<'d> {
-    /// Crawler configuration.
-    pub config: CrawlConfig,
-    /// Domains to sweep.
-    pub domains: &'d [String],
-    /// Network profile (transport stack + retry policy).
-    pub net: NetProfile,
+impl Job for InteractionSpec {
+    type Output = Vec<InteractionRecord>;
+
+    fn shard(&self, index: usize) -> String {
+        format!(
+            "collect/selenium.{index:02}.{}",
+            self.country.code().to_ascii_lowercase()
+        )
+    }
+
+    fn run(
+        &self,
+        world: &World,
+        domains: &[String],
+        tracer: &mut Tracer,
+        registry: &Registry,
+    ) -> (Vec<InteractionRecord>, CrawlTiming) {
+        let crawl = SeleniumCrawler::new(world, self.country)
+            .with_net(self.net.clone())
+            .crawl_observed(domains, tracer, registry);
+        let timing = CrawlTiming {
+            crawler: "selenium",
+            country: self.country,
+            corpus: None,
+            sites: crawl.records.len(),
+            attempts: crawl.attempts,
+            retries: crawl.retries,
+            failures: crawl.records.iter().filter(|r| !r.reachable).count() as u64,
+            wall: Duration::ZERO,
+            net: crawl.transport,
+        };
+        (crawl.records, timing)
+    }
 }
 
-/// One executed job's output with its instrumentation.
-#[derive(Debug)]
-pub struct JobOutcome<R> {
-    /// The crawl's records.
-    pub output: R,
-    /// Wall-clock duration of the whole job.
-    pub wall: Duration,
-    /// Transport counters, when the job's profile meters.
-    pub transport: Option<TransportStats>,
-    /// Document-load attempts across the job's sites.
-    pub attempts: u64,
-    /// Attempts beyond each site's first.
-    pub retries: u64,
-    /// Sites whose document never loaded (interaction jobs: unreachable
-    /// sites).
-    pub failures: u64,
-}
-
-/// Runs heterogeneous OpenWPM-style crawl jobs concurrently, returning each
-/// record with its instrumentation, in job order.
-pub fn run_crawl_jobs(world: &World, jobs: &[CrawlJob<'_>]) -> Vec<JobOutcome<CrawlRecord>> {
-    run_crawl_jobs_observed(world, jobs, &CrawlObs::disabled())
-}
-
-/// [`run_crawl_jobs`] with telemetry: worker `i` records into the
-/// `collect/openwpm.II.<country>.<corpus>` shard and a scratch registry;
-/// scratch snapshots are absorbed into `obs.metrics` in job order, so the
-/// study-wide counters are deterministic for a given plan and seed.
-pub fn run_crawl_jobs_observed(
+/// Runs `jobs` — each a planned crawl with its resolved domain list —
+/// concurrently, returning each output with its [`CrawlTiming`] in job
+/// order. Job `i` records its spans into its own shard under `obs.parent`
+/// and its counters into a scratch [`Registry`]; scratch snapshots are
+/// absorbed into `obs.metrics` in job order, so the study-wide counters are
+/// deterministic for a given plan and seed.
+pub(crate) fn run_jobs<J: Job>(
     world: &World,
-    jobs: &[CrawlJob<'_>],
-    obs: &CrawlObs,
-) -> Vec<JobOutcome<CrawlRecord>> {
-    let mut slots: Vec<Option<(JobOutcome<CrawlRecord>, redlight_obs::MetricsSnapshot)>> =
-        Vec::new();
-    slots.resize_with(jobs.len(), || None);
-
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            handles.push((
-                i,
+    jobs: &[(&J, &[String])],
+    obs: &ObsContext,
+) -> Vec<(J::Output, CrawlTiming)> {
+    let finished: Vec<_> = crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, &(job, domains))| {
                 scope.spawn(move |_| {
-                    let shard = format!(
-                        "collect/openwpm.{i:02}.{}.{}",
-                        job.config.country.code().to_ascii_lowercase(),
-                        corpus_slug(job.config.corpus),
-                    );
-                    let mut tracer = match obs.parent.clone() {
-                        Some(parent) => obs.trace.tracer_under(&shard, parent),
-                        None => obs.trace.tracer(&shard),
-                    };
+                    let mut tracer = obs.tracer(&job.shard(i));
                     let registry = Registry::new();
                     let start = Instant::now();
-                    let (record, transport) = OpenWpmCrawler::new(world, job.config.clone())
-                        .with_net(job.net.clone())
-                        .crawl_observed(job.domains, &mut tracer, &registry);
+                    let (output, mut timing) = job.run(world, domains, &mut tracer, &registry);
                     tracer.finish();
-                    // One pass over the visit column for all three totals.
-                    let rollup = record.rollup();
-                    let outcome = JobOutcome {
-                        wall: start.elapsed(),
-                        transport,
-                        attempts: rollup.attempts,
-                        retries: rollup.retries,
-                        failures: rollup.failures,
-                        output: record,
-                    };
-                    (outcome, registry.snapshot())
-                }),
-            ));
-        }
-        for (i, handle) in handles {
-            slots[i] = Some(handle.join().expect("crawl thread panicked"));
-        }
+                    timing.wall = start.elapsed();
+                    (output, timing, registry.snapshot())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("crawl thread panicked"))
+            .collect()
     })
     .expect("crossbeam scope");
 
-    slots
+    finished
         .into_iter()
-        .map(|s| {
-            let (outcome, snapshot) = s.expect("filled");
+        .map(|(output, timing, snapshot)| {
             obs.metrics.absorb(&snapshot);
-            outcome
+            publish_timing(obs, &timing);
+            (output, timing)
         })
         .collect()
 }
 
-/// One Selenium-style interaction crawl job.
-#[derive(Debug, Clone)]
-pub struct InteractionJob<'d> {
-    /// Vantage point.
-    pub country: Country,
-    /// Domains to interact with.
-    pub domains: &'d [String],
-    /// Network profile (transport stack + retry policy).
-    pub net: NetProfile,
-}
-
-/// Runs interaction crawl jobs concurrently, returning each country's
-/// records with the job's instrumentation, in job order.
-pub fn run_interaction_jobs(
-    world: &World,
-    jobs: &[InteractionJob<'_>],
-) -> Vec<JobOutcome<Vec<InteractionRecord>>> {
-    run_interaction_jobs_observed(world, jobs, &CrawlObs::disabled())
-}
-
-/// [`run_interaction_jobs`] with telemetry: worker `i` records into the
-/// `collect/selenium.II.<country>` shard; scratch registries are absorbed
-/// in job order, exactly like [`run_crawl_jobs_observed`].
-pub fn run_interaction_jobs_observed(
-    world: &World,
-    jobs: &[InteractionJob<'_>],
-    obs: &CrawlObs,
-) -> Vec<JobOutcome<Vec<InteractionRecord>>> {
-    let mut slots: Vec<
-        Option<(
-            JobOutcome<Vec<InteractionRecord>>,
-            redlight_obs::MetricsSnapshot,
-        )>,
-    > = Vec::new();
-    slots.resize_with(jobs.len(), || None);
-
-    crossbeam::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            handles.push((
-                i,
-                scope.spawn(move |_| {
-                    let shard = format!(
-                        "collect/selenium.{i:02}.{}",
-                        job.country.code().to_ascii_lowercase()
-                    );
-                    let mut tracer = match obs.parent.clone() {
-                        Some(parent) => obs.trace.tracer_under(&shard, parent),
-                        None => obs.trace.tracer(&shard),
-                    };
-                    let registry = Registry::new();
-                    let start = Instant::now();
-                    let crawl = SeleniumCrawler::new(world, job.country)
-                        .with_net(job.net.clone())
-                        .crawl_observed(job.domains, &mut tracer, &registry);
-                    tracer.finish();
-                    let outcome = JobOutcome {
-                        wall: start.elapsed(),
-                        transport: crawl.transport,
-                        attempts: crawl.attempts,
-                        retries: crawl.retries,
-                        failures: crawl.records.iter().filter(|r| !r.reachable).count() as u64,
-                        output: crawl.records,
-                    };
-                    (outcome, registry.snapshot())
-                }),
-            ));
-        }
-        for (i, handle) in handles {
-            slots[i] = Some(handle.join().expect("interaction thread panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-
-    slots
-        .into_iter()
-        .map(|s| {
-            let (outcome, snapshot) = s.expect("filled");
-            obs.metrics.absorb(&snapshot);
-            outcome
-        })
-        .collect()
-}
-
-/// Runs one OpenWPM-style crawl per country concurrently over a default
-/// network, returning the records in `countries` order.
-///
-/// `store_dom_for` limits DOM retention to the countries whose crawls feed
-/// DOM-level analyses (consent banners need Spain + USA).
-pub fn crawl_countries(
-    world: &World,
-    domains: &[String],
-    countries: &[Country],
-    corpus: CorpusLabel,
-    store_dom_for: &[Country],
-) -> Vec<CrawlRecord> {
-    let jobs: Vec<CrawlJob<'_>> = countries
-        .iter()
-        .map(|&country| CrawlJob {
-            config: CrawlConfig {
-                country,
-                corpus,
-                store_dom: store_dom_for.contains(&country),
-            },
-            domains,
-            net: NetProfile::default(),
-        })
-        .collect();
-    run_crawl_jobs(world, &jobs)
-        .into_iter()
-        .map(|job| job.output)
-        .collect()
+/// Mirrors one crawl's [`CrawlTiming`] into per-crawl registry counters.
+fn publish_timing(obs: &ObsContext, t: &CrawlTiming) {
+    let mut prefix = format!(
+        "crawl.{}.{}",
+        t.crawler,
+        t.country.code().to_ascii_lowercase()
+    );
+    if let Some(corpus) = t.corpus {
+        prefix.push('.');
+        prefix.push_str(corpus_slug(corpus));
+    }
+    for (field, value) in [
+        ("sites", t.sites as u64),
+        ("attempts", t.attempts),
+        ("retries", t.retries),
+        ("failures", t.failures),
+    ] {
+        obs.metrics.counter(&format!("{prefix}.{field}")).add(value);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::CorpusCompiler;
+    use crate::db::CorpusLabel;
+    use crate::openwpm::CrawlConfig;
+    use crate::plan::{CrawlPlan, DomainSel, PlanDomains};
+    use redlight_net::geoip::Country;
+    use redlight_net::transport::NetProfile;
     use redlight_websim::WorldConfig;
+
+    /// A plan of porn-corpus OpenWPM sweeps, one per `(country, store_dom)`.
+    fn porn_sweeps(countries: &[(Country, bool)]) -> CrawlPlan {
+        CrawlPlan {
+            openwpm: countries
+                .iter()
+                .map(|&(country, store_dom)| CrawlSpec {
+                    config: CrawlConfig {
+                        country,
+                        corpus: CorpusLabel::Porn,
+                        store_dom,
+                    },
+                    domains: DomainSel::Porn,
+                    net: NetProfile::default(),
+                })
+                .collect(),
+            interactions: Vec::new(),
+        }
+    }
+
+    fn porn_only(domains: &[String]) -> PlanDomains<'_> {
+        PlanDomains {
+            porn: domains,
+            regular: &[],
+            agegate_top: &[],
+        }
+    }
 
     #[test]
     fn parallel_crawls_match_sequential() {
         let world = World::build(WorldConfig::tiny(61));
         let corpus = CorpusCompiler::new(&world).compile();
         let domains: Vec<String> = corpus.sanitized.iter().take(12).cloned().collect();
-        let countries = [Country::Spain, Country::Usa, Country::Russia];
+        let plan = porn_sweeps(&[
+            (Country::Spain, true),
+            (Country::Usa, false),
+            (Country::Russia, false),
+        ]);
 
-        let parallel = crawl_countries(
-            &world,
-            &domains,
-            &countries,
-            CorpusLabel::Porn,
-            &[Country::Spain],
-        );
-        assert_eq!(parallel.len(), 3);
-        assert_eq!(parallel[0].country, Country::Spain);
+        let (db, _) = plan.execute(&world, porn_only(&domains));
+        assert_eq!(db.crawls().len(), 3);
+        assert_eq!(db.crawls()[0].country, Country::Spain);
 
         // Sequential rerun of one country must agree request-for-request.
         let sequential = OpenWpmCrawler::new(
@@ -294,7 +241,7 @@ mod tests {
             },
         )
         .crawl(&domains);
-        let par_usa = &parallel[1];
+        let par_usa = &db.crawls()[1];
         assert_eq!(par_usa.visits.len(), sequential.visits.len());
         for (a, b) in par_usa.visits.iter().zip(&sequential.visits) {
             assert_eq!(a.domain, b.domain);
@@ -308,13 +255,9 @@ mod tests {
         let world = World::build(WorldConfig::tiny(62));
         let corpus = CorpusCompiler::new(&world).compile();
         let domains: Vec<String> = corpus.sanitized.iter().take(6).cloned().collect();
-        let records = crawl_countries(
-            &world,
-            &domains,
-            &[Country::Spain, Country::India],
-            CorpusLabel::Porn,
-            &[Country::Spain],
-        );
+        let plan = porn_sweeps(&[(Country::Spain, true), (Country::India, false)]);
+        let (db, _) = plan.execute(&world, porn_only(&domains));
+        let records = db.crawls();
         assert!(records[0]
             .visits
             .iter()
@@ -332,62 +275,66 @@ mod tests {
         let porn: Vec<String> = corpus.sanitized.iter().take(5).cloned().collect();
         let regular: Vec<String> = corpus.reference_regular.iter().take(5).cloned().collect();
 
-        let jobs = [
-            CrawlJob {
-                config: CrawlConfig {
-                    country: Country::Spain,
-                    corpus: CorpusLabel::Porn,
-                    store_dom: true,
+        let plan = CrawlPlan {
+            openwpm: vec![
+                CrawlSpec {
+                    config: CrawlConfig {
+                        country: Country::Spain,
+                        corpus: CorpusLabel::Porn,
+                        store_dom: true,
+                    },
+                    domains: DomainSel::Porn,
+                    net: NetProfile::default(),
                 },
-                domains: &porn,
-                net: NetProfile::default(),
-            },
-            CrawlJob {
-                config: CrawlConfig {
-                    country: Country::Spain,
-                    corpus: CorpusLabel::Regular,
-                    store_dom: false,
+                CrawlSpec {
+                    config: CrawlConfig {
+                        country: Country::Spain,
+                        corpus: CorpusLabel::Regular,
+                        store_dom: false,
+                    },
+                    domains: DomainSel::Regular,
+                    net: NetProfile::default(),
                 },
-                domains: &regular,
+            ],
+            interactions: vec![InteractionSpec {
+                country: Country::Usa,
+                domains: DomainSel::Porn,
                 net: NetProfile::default(),
+            }],
+        };
+        let (db, timings) = plan.execute(
+            &world,
+            PlanDomains {
+                porn: &porn,
+                regular: &regular,
+                agegate_top: &[],
             },
-        ];
-        let results = run_crawl_jobs(&world, &jobs);
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].output.corpus, CorpusLabel::Porn);
-        assert_eq!(results[1].output.corpus, CorpusLabel::Regular);
-        assert_eq!(results[0].output.visits.len(), porn.len());
-        assert_eq!(results[1].output.visits.len(), regular.len());
-        assert!(results.iter().all(|job| job.wall > Duration::ZERO));
+        );
+        let crawls = db.crawls();
+        assert_eq!(crawls.len(), 2);
+        assert_eq!(crawls[0].corpus, CorpusLabel::Porn);
+        assert_eq!(crawls[1].corpus, CorpusLabel::Regular);
+        assert_eq!(crawls[0].visits.len(), porn.len());
+        assert_eq!(crawls[1].visits.len(), regular.len());
+        assert!(timings.iter().all(|t| t.wall > Duration::ZERO));
         // The default profile meters: the transport saw every request the
         // visits recorded (and the redirect hops inside them).
-        for job in &results {
-            let stats = job.transport.as_ref().expect("default profile meters");
-            let recorded: u64 = job
-                .output
+        for (crawl, timing) in crawls.iter().zip(&timings) {
+            let stats = timing.net.as_ref().expect("default profile meters");
+            let recorded: u64 = crawl
                 .visits
                 .iter()
                 .map(|v| v.visit.requests.len() as u64)
                 .sum();
             assert_eq!(stats.requests, recorded);
-            assert_eq!(job.attempts, job.output.visits.len() as u64);
-            assert_eq!(job.retries, 0);
+            assert_eq!(timing.attempts, crawl.visits.len() as u64);
+            assert_eq!(timing.retries, 0);
         }
 
-        let interactions = run_interaction_jobs(
-            &world,
-            &[InteractionJob {
-                country: Country::Usa,
-                domains: &porn,
-                net: NetProfile::default(),
-            }],
-        );
-        assert_eq!(interactions.len(), 1);
-        assert_eq!(interactions[0].output.len(), porn.len());
-        assert!(interactions[0]
-            .output
-            .iter()
-            .all(|r| r.country == Country::Usa));
-        assert!(interactions[0].transport.as_ref().unwrap().requests > 0);
+        let interactions: Vec<_> = db.interactions_in(Country::Usa).collect();
+        assert_eq!(interactions.len(), porn.len());
+        assert_eq!(db.interactions().len(), porn.len());
+        assert!(interactions.iter().all(|r| r.country == Country::Usa));
+        assert!(timings[2].net.as_ref().unwrap().requests > 0);
     }
 }

@@ -3,23 +3,23 @@
 //! A [`CrawlPlan`] declares every crawl a study performs: OpenWPM-style
 //! sweeps as country × corpus × store-DOM triples, and Selenium-style
 //! interaction crawls as country × domain-selector pairs. The plan itself
-//! is data; [`CrawlPlan::execute`] resolves the domain selectors against
-//! the compiled corpus, fans every crawl out through one code path
-//! ([`parallel`](crate::parallel)), and records it all — the Spanish main
-//! crawls, the geo sweep, the per-country age-gate crawls — into one
-//! [`MeasurementDb`], with per-crawl wall timings for the stage report.
+//! is data; [`CrawlPlan::execute_observed`] resolves the domain selectors
+//! against the compiled corpus, fans every crawl out through one job runner,
+//! and records it all — the Spanish main crawls, the geo sweep, the
+//! per-country age-gate crawls — into one [`MeasurementDb`], with per-crawl
+//! wall timings for the stage report. [`CrawlPlan::execute`] is the same
+//! call with telemetry off.
 
 use std::time::Duration;
 
 use redlight_net::geoip::Country;
 use redlight_net::transport::{NetProfile, TransportStats};
+use redlight_obs::ObsContext;
 use redlight_websim::World;
 
 use crate::db::{CorpusLabel, MeasurementDb};
-use crate::openwpm::{corpus_slug, CrawlConfig};
-use crate::parallel::{
-    run_crawl_jobs_observed, run_interaction_jobs_observed, CrawlJob, CrawlObs, InteractionJob,
-};
+use crate::openwpm::CrawlConfig;
+use crate::parallel::run_jobs;
 
 /// Which domain list a planned crawl sweeps. Selectors are resolved at
 /// execution time, so a plan can be built before the corpus is compiled.
@@ -109,112 +109,52 @@ pub struct CrawlPlan {
 }
 
 impl CrawlPlan {
-    /// Executes every planned crawl — concurrently across crawls, via the
-    /// shared [`parallel`](crate::parallel) fan-out — and records the
-    /// results into a fresh [`MeasurementDb`] in plan order, returning it
-    /// with one [`CrawlTiming`] per crawl.
+    /// [`execute_observed`](Self::execute_observed) with telemetry off.
     pub fn execute(
         &self,
         world: &World,
         domains: PlanDomains<'_>,
     ) -> (MeasurementDb, Vec<CrawlTiming>) {
-        self.execute_observed(world, domains, &CrawlObs::disabled())
+        self.execute_observed(world, domains, &ObsContext::disabled())
     }
 
-    /// [`execute`](Self::execute) with telemetry: every crawl records its
-    /// span tree into a per-worker journal shard and publishes its
-    /// transport/cache counters into `obs.metrics`, plus one
+    /// Executes every planned crawl — concurrently across crawls — and
+    /// records the results into a fresh [`MeasurementDb`] in plan order,
+    /// returning it with one [`CrawlTiming`] per crawl. Every crawl records
+    /// its span tree into a per-worker journal shard under `obs.parent` and
+    /// publishes its transport counters into `obs.metrics`, plus one
     /// `crawl.<crawler>.<country>[.<corpus>].{sites,attempts,retries,failures}`
     /// counter group per executed crawl — the same numbers the returned
     /// [`CrawlTiming`]s carry, so the timing rows are a view over the
-    /// registry. The db and timings are byte-identical to [`execute`].
+    /// registry. The db and timings do not depend on `obs`.
     pub fn execute_observed(
         &self,
         world: &World,
         domains: PlanDomains<'_>,
-        obs: &CrawlObs,
+        obs: &ObsContext,
     ) -> (MeasurementDb, Vec<CrawlTiming>) {
-        let crawl_jobs: Vec<CrawlJob<'_>> = self
+        let openwpm: Vec<_> = self
             .openwpm
             .iter()
-            .map(|spec| CrawlJob {
-                config: spec.config.clone(),
-                domains: domains.resolve(spec.domains),
-                net: spec.net.clone(),
-            })
+            .map(|spec| (spec, domains.resolve(spec.domains)))
             .collect();
-        let interaction_jobs: Vec<InteractionJob<'_>> = self
+        let interactions: Vec<_> = self
             .interactions
             .iter()
-            .map(|spec| InteractionJob {
-                country: spec.country,
-                domains: domains.resolve(spec.domains),
-                net: spec.net.clone(),
-            })
+            .map(|spec| (spec, domains.resolve(spec.domains)))
             .collect();
 
         let mut db = MeasurementDb::new();
-        let mut timings = Vec::with_capacity(crawl_jobs.len() + interaction_jobs.len());
-        for job in run_crawl_jobs_observed(world, &crawl_jobs, obs) {
-            let record = job.output;
-            let timing = CrawlTiming {
-                crawler: "openwpm",
-                country: record.country,
-                corpus: Some(record.corpus),
-                sites: record.visits.len(),
-                attempts: job.attempts,
-                retries: job.retries,
-                failures: job.failures,
-                wall: job.wall,
-                net: job.transport,
-            };
-            publish_timing(obs, &timing);
+        let mut timings = Vec::with_capacity(openwpm.len() + interactions.len());
+        for (record, timing) in run_jobs(world, &openwpm, obs) {
             timings.push(timing);
             db.push_crawl(record);
         }
-        for (spec, job) in self.interactions.iter().zip(run_interaction_jobs_observed(
-            world,
-            &interaction_jobs,
-            obs,
-        )) {
-            let records = job.output;
-            let timing = CrawlTiming {
-                crawler: "selenium",
-                country: spec.country,
-                corpus: None,
-                sites: records.len(),
-                attempts: job.attempts,
-                retries: job.retries,
-                failures: job.failures,
-                wall: job.wall,
-                net: job.transport,
-            };
-            publish_timing(obs, &timing);
+        for (records, timing) in run_jobs(world, &interactions, obs) {
             timings.push(timing);
             db.push_interactions(records);
         }
         (db, timings)
-    }
-}
-
-/// Mirrors one crawl's [`CrawlTiming`] into per-crawl registry counters.
-fn publish_timing(obs: &CrawlObs, t: &CrawlTiming) {
-    let mut prefix = format!(
-        "crawl.{}.{}",
-        t.crawler,
-        t.country.code().to_ascii_lowercase()
-    );
-    if let Some(corpus) = t.corpus {
-        prefix.push('.');
-        prefix.push_str(corpus_slug(corpus));
-    }
-    for (field, value) in [
-        ("sites", t.sites as u64),
-        ("attempts", t.attempts),
-        ("retries", t.retries),
-        ("failures", t.failures),
-    ] {
-        obs.metrics.counter(&format!("{prefix}.{field}")).add(value);
     }
 }
 

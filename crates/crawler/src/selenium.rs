@@ -63,25 +63,20 @@ impl<'w> SeleniumCrawler<'w> {
         self
     }
 
-    /// Crawls `domains`, producing one record each.
+    /// Crawls `domains`, producing one record each, with telemetry off.
     pub fn crawl(&self, domains: &[String]) -> Vec<InteractionRecord> {
-        self.crawl_metered(domains).records
-    }
-
-    /// Like [`crawl`](Self::crawl), but keeps the transport counters and
-    /// per-crawl attempt totals alongside the records.
-    pub fn crawl_metered(&self, domains: &[String]) -> InteractionCrawl {
-        let trace = Trace::disabled();
-        let mut tracer = trace.tracer("crawl");
+        let mut tracer = Trace::disabled().tracer("crawl");
         self.crawl_observed(domains, &mut tracer, &Registry::new())
+            .records
     }
 
-    /// [`crawl_metered`](Self::crawl_metered) with telemetry: records a
+    /// Crawls `domains`, keeping the transport counters and per-crawl
+    /// attempt totals alongside the records. Records a
     /// `crawl.selenium.<country>` span with `visits.NNN` batch children
     /// into `tracer` and publishes `transport.*` counters,
     /// `transport.retries`, `crawl.unreachable_sites` and the
-    /// `crawl.attempts` histogram into `registry`. Records are
-    /// byte-identical to the unobserved path.
+    /// `crawl.attempts` histogram into `registry`. The records do not
+    /// depend on either.
     pub fn crawl_observed(
         &self,
         domains: &[String],

@@ -39,14 +39,19 @@ pub use metrics::{
 pub use span::{AttrVal, SpanLink, Trace, Tracer, DEFAULT_SHARD_CAP};
 pub use timeline::{SloEvent, SloKind, SloPolicy, SloTracker, Timeline, WindowHist, WindowRow};
 
-/// The pair every observed entry point threads through the pipeline: a
-/// span collector and a metrics registry.
+/// The telemetry every pipeline layer records into: a span collector, a
+/// metrics registry and the span new shards hang under. It rides on the
+/// study configuration, so each layer has one entry point whether or not
+/// anything is being recorded. Cloning shares the trace and the registry.
 #[derive(Debug, Clone, Default)]
 pub struct ObsContext {
     /// Span collector.
     pub trace: Trace,
     /// Metrics registry.
     pub metrics: Registry,
+    /// Span the shards opened through [`tracer`](Self::tracer) attach to
+    /// (`None`: they are roots of the span forest).
+    pub parent: Option<SpanLink>,
 }
 
 impl ObsContext {
@@ -55,20 +60,31 @@ impl ObsContext {
         ObsContext {
             trace: Trace::new(),
             metrics: Registry::new(),
+            parent: None,
         }
     }
 
-    /// The context the unobserved (default) entry points run with: span
-    /// recording disabled, metrics land in a throwaway registry.
+    /// The context a study configuration starts with: span recording
+    /// disabled, metrics land in a registry nobody exports.
     pub fn disabled() -> Self {
         ObsContext {
             trace: Trace::disabled(),
             metrics: Registry::new(),
+            parent: None,
         }
     }
 
     /// Whether spans are being recorded.
     pub fn is_enabled(&self) -> bool {
         self.trace.is_enabled()
+    }
+
+    /// A tracer for the shard named `shard`, rooted under
+    /// [`parent`](Self::parent) when one is set.
+    pub fn tracer(&self, shard: &str) -> Tracer {
+        match &self.parent {
+            Some(link) => self.trace.tracer_under(shard, link.clone()),
+            None => self.trace.tracer(shard),
+        }
     }
 }

@@ -36,6 +36,8 @@ cargo test -q --test traffic_determinism
 echo "==> sim-vs-sync equivalence (sim-hosted study byte-identical)"
 cargo test -q --test sim_equivalence
 
+# `--test` smoke runs write their BENCH_*.json rows under target/bench-smoke/;
+# the committed root files hold full-mode rows only.
 echo "==> ats_match bench smoke (--test mode, 1 iteration per bench)"
 cargo bench -p redlight-bench --bench ats_match -- --test
 
@@ -49,7 +51,7 @@ echo "==> hotpath bench smoke (--test mode, 1x sweep, JSON keys validated)"
 cargo bench -p redlight-bench --bench hotpath -- --test
 python3 - <<'PYEOF'
 import json
-doc = json.load(open("BENCH_hotpath.json"))
+doc = json.load(open("target/bench-smoke/BENCH_hotpath.json"))
 assert doc["bench"] == "hotpath", doc
 rows = doc["rows"]
 assert rows, "hotpath sweep produced no rows"
@@ -70,7 +72,7 @@ echo "==> traffic bench smoke (--test mode, small sweep, JSON keys validated)"
 cargo bench -p redlight-bench --bench traffic -- --test
 python3 - <<'PYEOF'
 import json
-doc = json.load(open("BENCH_traffic.json"))
+doc = json.load(open("target/bench-smoke/BENCH_traffic.json"))
 assert doc["bench"] == "traffic", doc
 rows = doc["rows"]
 assert rows, "traffic sweep produced no rows"
@@ -117,7 +119,7 @@ echo "==> timeline bench smoke (--test mode, JSON keys validated)"
 cargo bench -p redlight-bench --bench timeline -- --test
 python3 - <<'PYEOF'
 import json
-doc = json.load(open("BENCH_timeline.json"))
+doc = json.load(open("target/bench-smoke/BENCH_timeline.json"))
 assert doc["bench"] == "timeline", doc
 rows = doc["rows"]
 assert rows, "timeline bench produced no rows"
@@ -132,6 +134,9 @@ for row in rows:
     assert row["base_events_per_sec"] > 0 and row["timeline_events_per_sec"] > 0, row
 print(f"timeline OK: {len(rows)} row(s), {rows[0]['windows']} windows")
 PYEOF
+
+echo "==> committed bench results untouched by the smokes"
+git diff --exit-code -- 'BENCH_*.json'
 
 echo "==> timeline export smoke (traffic run, JSON-lines + CSV validated)"
 cargo run --release -q -p redlight-bench --bin reproduce -- \

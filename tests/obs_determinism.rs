@@ -4,9 +4,9 @@
 //! from per-worker shards by shard name, never by arrival order), while
 //! divergent fault seeds must visibly diverge in the retry counters.
 
-use redlight::core::stages::STAGES;
+use redlight::core::stages::{self, STAGES};
 use redlight::net::transport::NetProfile;
-use redlight::obs::ObsContext;
+use redlight::obs::{Journal, JournalSpan, ObsContext};
 use redlight::{Study, StudyConfig, World};
 
 /// Runs the full tiny pipeline under an enabled observability context and
@@ -14,10 +14,10 @@ use redlight::{Study, StudyConfig, World};
 fn observed_run(world_seed: u64, net: NetProfile) -> ObsContext {
     let mut config = StudyConfig::tiny(world_seed);
     config.net = net;
+    config.obs = ObsContext::new();
     let world = World::build(config.world.clone());
-    let obs = ObsContext::new();
-    let _results = Study::run_on_observed(&world, &config, &obs);
-    obs
+    let _results = Study::run_on(&world, &config);
+    config.obs
 }
 
 #[test]
@@ -65,11 +65,7 @@ fn divergent_fault_seeds_diverge_in_retry_counters() {
 
 #[test]
 fn journal_covers_every_crawl_batch_and_stage() {
-    let config = StudyConfig::tiny(42);
-    let world = World::build(config.world.clone());
-    let obs = ObsContext::new();
-    let _results = Study::run_on_observed(&world, &config, &obs);
-    let journal = obs.trace.journal();
+    let journal = observed_run(42, NetProfile::default()).trace.journal();
     assert_eq!(journal.dropped, 0, "nothing hit the shard cap");
 
     // Layer roots.
@@ -142,6 +138,62 @@ fn observed_results_match_unobserved_results() {
     let config = StudyConfig::tiny(42);
     let world = World::build(config.world.clone());
     let plain = Study::run_on(&world, &config);
-    let observed = Study::run_on_observed(&world, &config, &ObsContext::new());
+    let observed = Study::run_on(
+        &world,
+        &StudyConfig {
+            obs: ObsContext::new(),
+            ..config
+        },
+    );
     assert_eq!(plain.render_summary(), observed.render_summary());
+}
+
+#[test]
+fn stage_subset_journal_matches_the_full_run_layout() {
+    // A stage subset (what `reproduce --stage` runs) goes through the same
+    // analysis entry as the full run: its stage spans hang under one
+    // `analyze` root next to `context.build`, and the layer roots tick in
+    // the same order as in the full run's journal.
+    let selected = stages::expand_selection(&["cookies".to_string()]).expect("known stage");
+    let mut config = StudyConfig::tiny(42);
+    config.obs = ObsContext::new();
+    let world = World::build(config.world.clone());
+    let (db, crawls) = Study::collect_db(&world, &config);
+    let _analysis = Study::analyze(&world, &config, &db, crawls, &selected);
+    let subset = config.obs.trace.journal();
+    let full = observed_run(42, NetProfile::default()).trace.journal();
+
+    let analyze = subset.find("analyze").expect("analyze root");
+    assert_eq!(analyze.parent, 0);
+    let build = subset.find("context.build").expect("context.build span");
+    assert_eq!(build.parent, analyze.id);
+    assert!(build.ts > analyze.ts);
+    let stage = subset.find("stage.cookies").expect("selected stage span");
+    assert_eq!(
+        stage.parent, analyze.id,
+        "stage.cookies hangs under analyze"
+    );
+    assert!(
+        stage.ts > build.end,
+        "stages tick after the context is built"
+    );
+    let stage_spans = subset
+        .spans
+        .iter()
+        .filter(|s| s.name.starts_with("stage."))
+        .count();
+    assert_eq!(stage_spans, 1, "only the selected stage ran");
+
+    let layout = |journal: &Journal| -> Vec<String> {
+        let mut roots: Vec<&JournalSpan> = journal
+            .spans
+            .iter()
+            .filter(|s| {
+                ["collect", "analyze", "context.build", "stage.cookies"].contains(&s.name.as_str())
+            })
+            .collect();
+        roots.sort_by_key(|s| s.ts);
+        roots.iter().map(|s| s.name.clone()).collect()
+    };
+    assert_eq!(layout(&subset), layout(&full));
 }

@@ -44,7 +44,11 @@ fn seeded() -> &'static Seeded {
 /// Runs the full analysis layer over the seeded DB with `shards` shards
 /// and renders the deterministic summary.
 fn analyze(fixture: &Seeded, shards: usize) -> String {
-    let ctx = AnalysisContext::build_sharded(&fixture.world, &fixture.config, &fixture.db, shards);
+    let config = StudyConfig {
+        shards,
+        ..fixture.config.clone()
+    };
+    let ctx = AnalysisContext::build(&fixture.world, &config, &fixture.db);
     let (outputs, _) = stages::run(&fixture.db, &ctx, &stages::all_stages());
     let best_ranks = ctx.best_ranks.clone();
     outputs
@@ -74,12 +78,19 @@ fn oversubscribed_split_still_merges_identically() {
 
 #[test]
 fn full_sharded_study_matches_monolithic_run() {
-    // End to end through `Study::run_on_sharded`, covering the sharded
-    // context build, the sharded stage runner and the shard-stat report.
+    // End to end through `Study::run_on` with `config.shards` set, covering
+    // the sharded context build, the sharded stage runner and the
+    // shard-stat report.
     let config = StudyConfig::tiny(77);
     let world = World::build(WorldConfig::tiny(77));
     let mono = Study::run_on(&world, &config);
-    let sharded = Study::run_on_sharded(&world, &config, 3);
+    let sharded = Study::run_on(
+        &world,
+        &StudyConfig {
+            shards: 3,
+            ..config
+        },
+    );
     assert_eq!(mono.render_summary(), sharded.render_summary());
     // Shard stats ride along in the report (never in the summary).
     assert!(mono.stage_report.shards.is_empty());

@@ -3,6 +3,7 @@
 use redlight::core::stages::{self, AnalysisContext};
 use redlight::crawler::db::CorpusLabel;
 use redlight::net::geoip::Country;
+use redlight::obs::ObsContext;
 use redlight::{Study, StudyConfig, World};
 
 /// Splitting the monolith into collect + stages must not change a single
@@ -141,4 +142,27 @@ fn measurement_db_accessors() {
     assert_eq!(porn.corpus, CorpusLabel::Porn);
     // The vantage IP rides on the record itself.
     assert!(!porn.client_ip.is_unspecified());
+}
+
+/// The shared caches count into cells the analysis context owns, so one
+/// configuration reused across runs — telemetry on or off — reports the
+/// same cache counters every time instead of accumulating them.
+#[test]
+fn reused_config_reports_identical_cache_counters() {
+    for obs in [ObsContext::disabled(), ObsContext::new()] {
+        let config = StudyConfig {
+            obs,
+            ..StudyConfig::tiny(4243)
+        };
+        let world = World::build(config.world.clone());
+        let (db, _) = Study::collect_db(&world, &config);
+        let first = AnalysisContext::build(&world, &config, &db).cache_counters();
+        let second = AnalysisContext::build(&world, &config, &db).cache_counters();
+        assert_eq!(first, second);
+
+        let a = Study::run_on(&world, &config).stage_report.caches;
+        let b = Study::run_on(&world, &config).stage_report.caches;
+        assert!(a.iter().any(|c| c.hits + c.misses > 0), "caches were used");
+        assert_eq!(a, b);
+    }
 }
