@@ -2,7 +2,7 @@
 //! session counts, up to one million simulated visitors.
 //!
 //! Each point runs [`run_traffic`] over the tiny world with the default
-//! sim profile and reports kernel throughput (events and sessions per
+//! profile and reports kernel throughput (events and sessions per
 //! *wall* second), logical throughput, and the request/page latency
 //! percentiles the `obs` histograms saw. A same-seed re-run at the
 //! smallest scale pins determinism — the rendered report must be

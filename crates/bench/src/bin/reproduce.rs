@@ -67,7 +67,7 @@
 
 use redlight_core::results::StageReport;
 use redlight_core::{stages, Study, StudyConfig, StudyResults};
-use redlight_net::transport::{NetProfile, SimSpec};
+use redlight_net::transport::NetProfile;
 use redlight_obs::{ObsContext, Timeline};
 use redlight_report::paper::{self, Comparison};
 use redlight_sim::{run_traffic, TimelineSpec, TrafficConfig};
@@ -268,13 +268,6 @@ fn run_traffic_mode(
     timeline_out: &Option<String>,
     timeline_window_ms: u64,
 ) {
-    let net = if config.net.sim.is_some() {
-        config.net.clone()
-    } else {
-        // The workload is meaningless without a service model; default one
-        // in while keeping the profile's faults/retries/seed.
-        config.net.clone().with_sim(SimSpec::default())
-    };
     // Timeline sampling rides along whenever something will consume it: a
     // `--timeline` file or the `--timings` sparkline summary.
     let timeline_spec = (timeline_out.is_some() || timings)
@@ -283,7 +276,7 @@ fn run_traffic_mode(
         sessions,
         seed,
         world: config.world.clone(),
-        net,
+        net: config.net.clone(),
         timeline: timeline_spec,
         ..TrafficConfig::new(sessions)
     };

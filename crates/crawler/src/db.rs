@@ -49,7 +49,10 @@ pub struct SiteVisitRecord {
     /// Document-load attempts spent on the site (1 = first try succeeded
     /// or no retry budget; 0 = the corpus entry never parsed into a URL).
     pub attempts: u32,
-    /// Wall time the crawler spent on this site, retries included.
+    /// Logical time the visit took on the session's simulated clock:
+    /// every attempt's fetches plus the backoff consumed between them
+    /// (zero for a corpus entry that never parsed). Deterministic, so it
+    /// replays exactly.
     pub wall: Duration,
 }
 

@@ -27,7 +27,8 @@
 //! Every crawl fetches through the transport seam
 //! ([`redlight_net::transport`]): its [`NetProfile`] — carried on the plan
 //! specs — assembles the stack (direct server, optional fault injection,
-//! optional metering) and sets the visit [`RetryPolicy`], so a plan fully
+//! optional metering), sets the visit [`RetryPolicy`] and the simulated
+//! clock the session's fetches and backoff consume, so a plan fully
 //! describes the network weather it runs under.
 
 #![warn(missing_docs)]
@@ -38,6 +39,7 @@ pub mod openwpm;
 mod parallel;
 pub mod plan;
 pub mod selenium;
+mod session;
 pub mod store;
 
 pub use corpus::{CorpusCompiler, CorpusReport};

@@ -6,32 +6,26 @@
 //! HTTP exchange, cookie and instrumented JS call. Visits are attempted
 //! HTTPS-first with HTTP downgrade; pages may hit the 120 s timeout.
 //!
-//! The session fetches through a [`Transport`] stack assembled from the
-//! crawl's [`NetProfile`]: the direct in-process server by default,
-//! optionally wrapped in metering and deterministic fault-injection
-//! decorators. Failed document loads are retried up to the profile's
-//! [`RetryPolicy`](redlight_net::transport::RetryPolicy) budget, with the
-//! attempt count and per-site wall time recorded on every
-//! [`SiteVisitRecord`].
-//!
-//! When the profile carries a [`SimSpec`](redlight_net::transport::SimSpec)
-//! the stack is rehosted on a simulated clock ([`SimTransport`]): visit
-//! walls become logical time, and retry backoff is *consumed* on that
-//! clock — the crawl asserts the recorded schedule equals the elapsed
-//! logical time, closing the recorded-only gap of the legacy path.
+//! The session fetches through the transport stack assembled from the
+//! crawl's [`NetProfile`] — the in-process server, optionally wrapped in
+//! metering and deterministic fault-injection decorators — on the
+//! profile's simulated clock. Failed document loads are retried up to the
+//! profile's [`RetryPolicy`](redlight_net::transport::RetryPolicy) budget
+//! with the backoff consumed as logical time, and every
+//! [`SiteVisitRecord`](crate::db::SiteVisitRecord) carries the attempt
+//! count and the visit's logical wall time, so walls replay exactly.
 
-use std::time::Instant;
+use std::time::Duration;
 
 use redlight_browser::Browser;
 use redlight_net::geoip::Country;
-use redlight_net::transport::{BrowserKind, NetProfile, Transport, TransportMeter, TransportStats};
+use redlight_net::transport::{BrowserKind, NetProfile, TransportMeter, TransportStats};
 use redlight_net::url::Url;
 use redlight_obs::{Registry, Trace, Tracer};
-use redlight_sim::{SimHandle, SimTransport};
-use redlight_websim::server::WebServer;
 use redlight_websim::World;
 
 use crate::db::{CorpusLabel, CrawlRecord};
+use crate::session::Session;
 
 /// Sites per `visits.NNN` batch span in the crawl journal.
 pub const VISIT_BATCH: usize = 25;
@@ -97,18 +91,7 @@ impl<'w> OpenWpmCrawler<'w> {
         let ctx = Browser::context_for(self.world, self.config.country, BrowserKind::OpenWpm);
         let client_ip = ctx.client_ip;
         let meter = TransportMeter::in_registry(registry);
-        let transport = self
-            .net
-            .stack_in(WebServer::new(self.world), &meter, registry);
-        // Under a sim profile the whole stack is rehosted on the logical
-        // clock: outcomes are unchanged, but every fetch, fault stall and
-        // retry backoff consumes simulated time.
-        let sim = self.net.sim.map(SimHandle::new);
-        let transport: Box<dyn Transport + '_> = match &sim {
-            Some(handle) => Box::new(SimTransport::new(transport, handle.clone())),
-            None => transport,
-        };
-        let mut browser = Browser::with_transport(transport, ctx);
+        let mut session = Session::open(self.world, ctx, &self.net, &meter);
 
         let retries = registry.counter("transport.retries");
         let failed_visits = registry.counter("crawl.failed_visits");
@@ -130,43 +113,19 @@ impl<'w> OpenWpmCrawler<'w> {
             let mut batch_attempts = 0u64;
             let mut batch_failures = 0u64;
             for domain in batch {
-                let started = Instant::now();
-                let sim_mark = sim.as_ref().map(|h| (h.now(), h.backoff_consumed()));
-                let wall = |attempts_done: u32| match (&sim, sim_mark) {
-                    // Logical wall: fetches + backoff since the visit began.
-                    // The recorded backoff schedule must equal the logical
-                    // time the retries actually consumed — the sim clock
-                    // closes the old recorded-only gap, so enforce it.
-                    (Some(h), Some((t0, b0))) => {
-                        assert_eq!(
-                            h.backoff_consumed() - b0,
-                            self.net.retry.total_backoff(attempts_done),
-                            "recorded backoff must equal logical time consumed"
-                        );
-                        h.now() - t0
-                    }
-                    _ => started.elapsed(),
-                };
                 let Ok(url) = Url::parse(&format!("https://{domain}/")) else {
                     // A corpus entry that never parses still costs a visit
                     // slot: dropping it here would silently shrink the crawl
                     // and skew every per-corpus denominator downstream.
-                    record.push_visit_with(domain, unparsable_visit(), 0, wall(0));
+                    record.push_visit_with(domain, unparsable_visit(), 0, Duration::ZERO);
                     attempts_hist.record(0);
                     requests_hist.record(0);
                     failed_visits.inc();
                     batch_failures += 1;
                     continue;
                 };
-                let mut attempts = 1u32;
-                let mut visit = browser.visit(&url);
-                while !visit.success && attempts < self.net.retry.max_attempts {
-                    attempts += 1;
-                    if let Some(handle) = &sim {
-                        handle.consume_backoff(self.net.retry.backoff_before(attempts));
-                    }
-                    visit = browser.visit(&url);
-                }
+                let load = session.load(&url);
+                let (mut visit, attempts) = (load.visit, load.attempts);
                 retries.add(attempts.saturating_sub(1) as u64);
                 attempts_hist.record(attempts as u64);
                 requests_hist.record(visit.requests.len() as u64);
@@ -178,7 +137,7 @@ impl<'w> OpenWpmCrawler<'w> {
                 if !self.config.store_dom {
                     visit.dom_html = String::new();
                 }
-                record.push_visit_with(domain, visit, attempts, wall(attempts));
+                record.push_visit_with(domain, visit, attempts, load.wall);
             }
             tracer.attr("sites", batch.len());
             tracer.attr("attempts", batch_attempts);

@@ -9,22 +9,25 @@
 //! ("Privacy"/"Policy" in eight languages) and fetches it; (5) records
 //! monetization signals (account/premium keywords) and fetches the premium
 //! page when advertised.
+//!
+//! Like the OpenWPM crawl, the session runs on the network profile's
+//! simulated clock, retrying failed landing-page loads with the backoff
+//! consumed as logical time.
 
 use redlight_browser::{Browser, Initiator};
 use redlight_html::dom::Document;
 use redlight_html::{parser, query, style};
 use redlight_net::geoip::Country;
 use redlight_net::http::ResourceKind;
-use redlight_net::transport::{BrowserKind, NetProfile, Transport, TransportMeter, TransportStats};
+use redlight_net::transport::{BrowserKind, NetProfile, TransportMeter, TransportStats};
 use redlight_net::url::Url;
 use redlight_obs::{Registry, Trace, Tracer};
-use redlight_sim::{SimHandle, SimTransport};
 use redlight_text::lang;
-use redlight_websim::server::WebServer;
 use redlight_websim::World;
 
 use crate::db::InteractionRecord;
 use crate::openwpm::VISIT_BATCH;
+use crate::session::Session;
 
 /// One interaction crawl's output plus its network bookkeeping.
 #[derive(Debug)]
@@ -85,17 +88,7 @@ impl<'w> SeleniumCrawler<'w> {
     ) -> InteractionCrawl {
         let ctx = Browser::context_for(self.world, self.country, BrowserKind::Selenium);
         let meter = TransportMeter::in_registry(registry);
-        let transport = self
-            .net
-            .stack_in(WebServer::new(self.world), &meter, registry);
-        // Sim profiles rehost the stack on the logical clock (outcomes are
-        // unchanged; retries consume their backoff as simulated time).
-        let sim = self.net.sim.map(SimHandle::new);
-        let transport: Box<dyn Transport + '_> = match &sim {
-            Some(handle) => Box::new(SimTransport::new(transport, handle.clone())),
-            None => transport,
-        };
-        let mut browser = Browser::with_transport(transport, ctx);
+        let mut session = Session::open(self.world, ctx, &self.net, &meter);
 
         let retry_counter = registry.counter("transport.retries");
         let unreachable = registry.counter("crawl.unreachable_sites");
@@ -115,7 +108,7 @@ impl<'w> SeleniumCrawler<'w> {
             let mut batch_attempts = 0u64;
             let mut batch_failures = 0u64;
             for d in batch {
-                let (record, attempts) = self.crawl_site(&mut browser, d, sim.as_ref());
+                let (record, attempts) = self.crawl_site(&mut session, d);
                 attempts_total += attempts as u64;
                 retries += attempts.saturating_sub(1) as u64;
                 retry_counter.add(attempts.saturating_sub(1) as u64);
@@ -143,15 +136,8 @@ impl<'w> SeleniumCrawler<'w> {
     }
 
     /// Crawls one site, returning its record with the number of
-    /// landing-page attempts spent (0 when the domain never parsed). Under
-    /// a sim profile, retry backoff is consumed on the logical clock and
-    /// checked against the recorded schedule.
-    fn crawl_site(
-        &self,
-        browser: &mut Browser<'w>,
-        domain: &str,
-        sim: Option<&SimHandle>,
-    ) -> (InteractionRecord, u32) {
+    /// landing-page attempts spent (0 when the domain never parsed).
+    fn crawl_site(&self, session: &mut Session<'w>, domain: &str) -> (InteractionRecord, u32) {
         let mut record = InteractionRecord {
             domain: domain.to_string(),
             country: self.country,
@@ -169,23 +155,9 @@ impl<'w> SeleniumCrawler<'w> {
             // Malformed corpus entry: recorded as unreachable, never dropped.
             return (record, 0);
         };
-        let backoff_mark = sim.map(|h| h.backoff_consumed());
-        let mut attempts = 1u32;
-        let mut visit = browser.visit(&url);
-        while !visit.success && attempts < self.net.retry.max_attempts {
-            attempts += 1;
-            if let Some(handle) = sim {
-                handle.consume_backoff(self.net.retry.backoff_before(attempts));
-            }
-            visit = browser.visit(&url);
-        }
-        if let Some((handle, before)) = sim.zip(backoff_mark) {
-            assert_eq!(
-                handle.backoff_consumed() - before,
-                self.net.retry.total_backoff(attempts),
-                "recorded backoff must equal logical time consumed"
-            );
-        }
+        let load = session.load(&url);
+        let (mut visit, attempts) = (load.visit, load.attempts);
+        let browser = &mut session.browser;
         if !visit.success {
             return (record, attempts);
         }

@@ -14,17 +14,15 @@
 //! Determinism rules:
 //!
 //! * the default profile injects nothing and the stack degenerates to the
-//!   direct server call — behavior is byte-identical to no seam at all;
-//! * fault decisions are pure functions of `(fault seed, session nonce,
-//!   request URL, resource kind, attempt number)` — no wall clock, no
-//!   global RNG — so the same seed replays the same faults, and two runs
-//!   of a study produce identical results;
-//! * meters and retry backoff are *recorded*, never slept on: the
-//!   simulated network has no latency to wait out, so the schedule is
-//!   bookkeeping for the report, not a delay. Profiles carrying a
-//!   [`SimSpec`] upgrade the schedule to *consumed* logical time on a
-//!   simulated clock (the `redlight-sim` kernel) — still never a real
-//!   sleep.
+//!   metered server call — outcomes are byte-identical to no seam at all;
+//! * fault decisions come from one [`FaultOracle`]: pure functions of
+//!   `(fault seed, session nonce, request identity, attempt number)` — no
+//!   wall clock, no global RNG — so the same seed replays the same
+//!   faults, and the crawler and the traffic simulator draw identically;
+//! * retry backoff is never slept on: every profile carries a
+//!   [`SimSpec`], the crawl runs on that simulated clock (the
+//!   `redlight-sim` kernel), and the backoff schedule is *consumed* as
+//!   logical time between attempts.
 //!
 //! [`WebServer`]: https://docs.rs/redlight-websim
 
@@ -164,6 +162,9 @@ impl TransportStats {
 /// view.
 #[derive(Clone, Default)]
 pub struct TransportMeter {
+    /// Where a fault injector built over this meter registers
+    /// `transport.faults_injected` (`None` for private meters).
+    registry: Option<Registry>,
     requests: Counter,
     responses: Counter,
     unreachable: Counter,
@@ -186,9 +187,11 @@ impl TransportMeter {
     /// `transport.timeouts`, `transport.server_errors`,
     /// `transport.redirects`, `transport.body_bytes`,
     /// `transport.latency_ns` plus the `transport.body_bytes_hist`
-    /// size histogram.
+    /// size histogram. A stack with fault injection built over this meter
+    /// also publishes `transport.faults_injected` there.
     pub fn in_registry(registry: &Registry) -> Self {
         TransportMeter {
+            registry: Some(registry.clone()),
             requests: registry.counter("transport.requests"),
             responses: registry.counter("transport.responses"),
             unreachable: registry.counter("transport.unreachable"),
@@ -199,6 +202,15 @@ impl TransportMeter {
             latency_nanos: registry.counter_with_unit("transport.latency_ns", Unit::Nanos),
             body_hist: registry.histogram_with_unit("transport.body_bytes_hist", Unit::Bytes),
         }
+    }
+
+    /// The injected-fault counter for a [`FaultTransport`] built over this
+    /// meter: the registry's `transport.faults_injected`, registered only
+    /// now (so fault-free stacks never export it), or a private cell.
+    fn faults_injected(&self) -> Counter {
+        self.registry
+            .as_ref()
+            .map_or_else(Counter::new, |r| r.counter("transport.faults_injected"))
     }
 
     /// Reads the counters.
@@ -345,9 +357,7 @@ impl FaultSpec {
     }
 
     /// Maps a 0..1000 draw onto a fault, `None` for the healthy majority.
-    /// Public so simulated workloads (the traffic generator) can draw from
-    /// the same cumulative fault distribution a [`FaultTransport`] uses.
-    pub fn classify(&self, draw: u16) -> Option<Fault> {
+    fn classify(&self, draw: u16) -> Option<Fault> {
         debug_assert!(self.total_pm() <= 1000, "fault rates exceed 100%");
         let mut edge = self.dns_pm;
         if draw < edge {
@@ -373,18 +383,61 @@ impl FaultSpec {
     }
 }
 
+/// The one fault decision: which requests fault, how, and for how many
+/// attempts, as pure functions of the fault seed.
+///
+/// A request's fate is keyed by [`FaultOracle::key`] — the session nonce
+/// and a caller-chosen request identity (the crawler's is the URL hash
+/// mixed with the resource kind; the traffic simulator's is the page and
+/// sub-resource index) — and [`FaultOracle::fate`] draws the fault class
+/// from the [`FaultSpec`] rates plus a per-key persistence in
+/// `1..=transient_attempts`. Both [`FaultTransport`] and the traffic
+/// simulator's host fleet ask this oracle, so the two can never drift.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultOracle {
+    /// The fault rates.
+    pub spec: FaultSpec,
+    /// The fault seed.
+    pub seed: u64,
+}
+
+impl FaultOracle {
+    /// An oracle drawing `spec`'s weather under `seed`.
+    pub fn new(spec: FaultSpec, seed: u64) -> Self {
+        FaultOracle { spec, seed }
+    }
+
+    /// The decision key of one request: stable across its retries.
+    pub fn key(&self, session: u64, identity: u64) -> u64 {
+        mix(self.seed ^ session, identity)
+    }
+
+    /// The fault attempt `attempt` (1-based) of the request keyed `key`
+    /// suffers, or `None` when it goes through. A faulted key keeps its
+    /// fault for its drawn persistence, then clears for good
+    /// (`transient_attempts == 0` makes every fault permanent).
+    pub fn fate(&self, key: u64, attempt: u32) -> Option<Fault> {
+        let fault = self.spec.classify((mix(key, 0x9e37_79b9) % 1000) as u16)?;
+        let persistence = match self.spec.transient_attempts {
+            0 => u32::MAX,
+            n => 1 + (mix(key, 0x85eb_ca6b) % n as u64) as u32,
+        };
+        (attempt <= persistence).then_some(fault)
+    }
+}
+
 /// Deterministic fault injector.
 ///
-/// Whether a request faults — and for how many attempts the fault persists
-/// — is a pure hash of `(fault seed, session nonce, request URL, resource
-/// kind)`; the attempt counter lives in the transport so a retried fetch
-/// of the same URL eventually clears a transient fault. One instance
-/// serves one crawl session, and visits within a crawl are sequential, so
-/// the injected sequence never depends on thread interleaving.
+/// Asks a [`FaultOracle`] for every request, keyed by `(session nonce,
+/// URL, resource kind)`; the attempt counter lives in the transport so a
+/// retried fetch of the same URL eventually clears a transient fault. One
+/// instance serves one crawl session, and visits within a crawl are
+/// sequential, so the injected sequence never depends on thread
+/// interleaving.
 pub struct FaultTransport<T> {
     inner: T,
-    spec: FaultSpec,
-    seed: u64,
+    oracle: FaultOracle,
+    /// Attempts so far of each key that has faulted at least once.
     attempts: Mutex<HashMap<u64, u32>>,
     injected: Counter,
 }
@@ -394,8 +447,7 @@ impl<T: Transport> FaultTransport<T> {
     pub fn new(inner: T, spec: FaultSpec, seed: u64) -> Self {
         FaultTransport {
             inner,
-            spec,
-            seed,
+            oracle: FaultOracle::new(spec, seed),
             attempts: Mutex::new(HashMap::new()),
             injected: Counter::new(),
         }
@@ -412,58 +464,41 @@ impl<T: Transport> FaultTransport<T> {
     pub fn injected(&self) -> u64 {
         self.injected.get()
     }
-
-    /// The per-request decision key.
-    fn key(&self, req: &Request, ctx: &ClientContext) -> u64 {
-        let url_hash = fnv1a(req.url.without_fragment().as_bytes());
-        mix(self.seed ^ ctx.session, url_hash ^ (req.kind as u64))
-    }
-
-    /// The fault drawn for this key, if any.
-    fn fault_for(&self, key: u64) -> Option<Fault> {
-        let draw = (mix(key, 0x9e37_79b9) % 1000) as u16;
-        self.spec.classify(draw)
-    }
-
-    /// How many attempts the fault on `key` persists for (`u32::MAX` when
-    /// faults are configured permanent).
-    fn persistence(&self, key: u64) -> u32 {
-        if self.spec.transient_attempts == 0 {
-            u32::MAX
-        } else {
-            1 + (mix(key, 0x85eb_ca6b) % self.spec.transient_attempts as u64) as u32
-        }
-    }
 }
 
 impl<T: Transport> Transport for FaultTransport<T> {
     fn fetch(&self, req: &Request, ctx: &ClientContext) -> FetchOutcome {
-        let key = self.key(req, ctx);
-        if let Some(fault) = self.fault_for(key) {
-            let attempt = {
-                let mut attempts = self.attempts.lock().expect("fault map");
-                let n = attempts.entry(key).or_insert(0);
-                *n += 1;
-                *n
-            };
-            if attempt <= self.persistence(key) {
-                self.injected.inc();
-                return match fault {
-                    Fault::Dns | Fault::Reset => FetchOutcome::Unreachable,
-                    Fault::Stall => FetchOutcome::Timeout,
-                    Fault::ServerError => FetchOutcome::Response(Response::error(StatusCode(503))),
-                    Fault::Truncate => match self.inner.fetch(req, ctx) {
-                        FetchOutcome::Response(mut resp) => {
-                            let keep = resp.body.len() / 2;
-                            resp.body = bytes::Bytes::copy_from_slice(&resp.body[..keep]);
-                            FetchOutcome::Response(resp)
-                        }
-                        other => other,
-                    },
-                };
+        let identity = fnv1a(req.url.without_fragment().as_bytes()) ^ (req.kind as u64);
+        let key = self.oracle.key(ctx.session, identity);
+        // Only keys that fault need a counter: a healthy key's fate is
+        // `None` at every attempt, and a cleared key stays cleared because
+        // its count stops at the last faulted attempt.
+        let fault = {
+            let mut attempts = self.attempts.lock().expect("fault map");
+            let attempt = attempts.get(&key).map_or(1, |n| n + 1);
+            let fault = self.oracle.fate(key, attempt);
+            if fault.is_some() {
+                attempts.insert(key, attempt);
             }
+            fault
+        };
+        let Some(fault) = fault else {
+            return self.inner.fetch(req, ctx);
+        };
+        self.injected.inc();
+        match fault {
+            Fault::Dns | Fault::Reset => FetchOutcome::Unreachable,
+            Fault::Stall => FetchOutcome::Timeout,
+            Fault::ServerError => FetchOutcome::Response(Response::error(StatusCode(503))),
+            Fault::Truncate => match self.inner.fetch(req, ctx) {
+                FetchOutcome::Response(mut resp) => {
+                    let keep = resp.body.len() / 2;
+                    resp.body = bytes::Bytes::copy_from_slice(&resp.body[..keep]);
+                    FetchOutcome::Response(resp)
+                }
+                other => other,
+            },
         }
-        self.inner.fetch(req, ctx)
     }
 
     fn resolvable(&self, host: &str) -> bool {
@@ -477,12 +512,10 @@ impl<T: Transport> Transport for FaultTransport<T> {
 
 /// Bounded visit retries with a deterministic backoff schedule.
 ///
-/// The backoff is never slept on a real wire. On legacy runs (profiles
-/// with `sim: None`) it is purely *recorded* — the synthetic web answers
-/// instantly, so the schedule exists to be reported and to stay stable
-/// across runs. Under a [`SimSpec`] profile the same schedule is *charged*
-/// to a logical clock between attempts, and the crawler asserts the time
-/// consumed equals [`RetryPolicy::total_backoff`].
+/// The backoff is never slept on a real wire: the crawl *consumes* the
+/// schedule on its simulated clock (the profile's [`SimSpec`]) between
+/// attempts, and asserts the logical time consumed equals
+/// [`RetryPolicy::total_backoff`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total visit attempts (1 = no retries).
@@ -534,11 +567,9 @@ impl RetryPolicy {
     /// Total backoff a visit that spent `attempts` attempts schedules: the
     /// sum of [`backoff_before`](Self::backoff_before) over every attempt.
     ///
-    /// Under a simulated clock ([`SimSpec`]) the crawler *consumes* exactly
-    /// this much logical time between retries and asserts the equality, so
-    /// the recorded schedule can never silently diverge from the time the
-    /// clock actually advanced. On legacy non-sim runs (`sim: None`) the
-    /// schedule stays recorded-only: there is no clock to consume it.
+    /// The crawler *consumes* exactly this much logical time between
+    /// retries and asserts the equality, so the schedule can never
+    /// silently diverge from the time the clock actually advanced.
     pub fn total_backoff(&self, attempts: u32) -> Duration {
         (1..=attempts).map(|a| self.backoff_before(a)).sum()
     }
@@ -550,8 +581,8 @@ impl RetryPolicy {
 
 /// Parameters of the simulated-time service model, as data.
 ///
-/// When a [`NetProfile`] carries a `SimSpec`, the crawl wraps its transport
-/// stack in the `redlight-sim` crate's `SimTransport`: every fetch charges
+/// Every [`NetProfile`] carries a `SimSpec`, and every crawl wraps its
+/// transport stack in the `redlight-sim` crate's `SimTransport`: every fetch charges
 /// a modeled service time to a logical clock — a base cost plus a per-KiB
 /// transfer cost with deterministic ±jitter — unreachable hosts charge the
 /// connect-fail cost, stalls charge the full timeout budget, and retry
@@ -654,14 +685,13 @@ pub struct NetProfile {
     pub fault_seed: u64,
     /// Wrap the stack in a [`MeteredTransport`] and report its counters.
     pub metered: bool,
-    /// Visit retry policy.
+    /// Visit retry policy; its backoff is consumed on the `sim` clock.
     pub retry: RetryPolicy,
-    /// Simulated-time service model; `None` runs the legacy call-and-return
-    /// pipeline where backoff stays recorded-only.
-    pub sim: Option<SimSpec>,
-    /// Service-level objectives, `None` when the run declares no SLOs
-    /// (timeline consumers then fall back to [`SloSpec::default`]).
-    pub slo: Option<SloSpec>,
+    /// Simulated-time service model: the clock every crawl and traffic
+    /// run charges its fetches and backoff to.
+    pub sim: SimSpec,
+    /// Service-level objectives the traffic timeline evaluates.
+    pub slo: SloSpec,
 }
 
 impl Default for NetProfile {
@@ -671,15 +701,15 @@ impl Default for NetProfile {
             fault_seed: 0,
             metered: true,
             retry: RetryPolicy::none(),
-            sim: None,
-            slo: None,
+            sim: SimSpec::default(),
+            slo: SloSpec::default(),
         }
     }
 }
 
 impl NetProfile {
     /// The profile names [`NetProfile::named`] accepts.
-    pub const NAMES: [&'static str; 5] = ["default", "direct", "flaky", "lossy", "sim"];
+    pub const NAMES: [&'static str; 4] = ["default", "direct", "flaky", "lossy"];
 
     /// Completely bare stack: no faults, no meter — the pre-seam pipeline.
     pub fn direct() -> Self {
@@ -689,8 +719,7 @@ impl NetProfile {
         }
     }
 
-    /// Looks up a named profile (`default`, `direct`, `flaky`, `lossy`,
-    /// `sim`).
+    /// Looks up a named profile (`default`, `direct`, `flaky`, `lossy`).
     pub fn named(name: &str) -> Option<Self> {
         match name {
             "default" => Some(NetProfile::default()),
@@ -699,20 +728,14 @@ impl NetProfile {
                 faults: Some(FaultSpec::flaky()),
                 fault_seed: 1,
                 retry: RetryPolicy::retries(3, Duration::from_millis(250), 4),
-                slo: Some(SloSpec::default()),
                 ..NetProfile::default()
             }),
             "lossy" => Some(NetProfile {
                 faults: Some(FaultSpec::lossy()),
                 fault_seed: 1,
                 retry: RetryPolicy::retries(4, Duration::from_millis(250), 4),
-                slo: Some(SloSpec::default()),
                 ..NetProfile::default()
             }),
-            // The default healthy network under a simulated clock: outcomes
-            // are byte-identical to `default`, but every fetch and every
-            // backoff advances logical time.
-            "sim" => Some(NetProfile::default().with_sim(SimSpec::default())),
             _ => None,
         }
     }
@@ -723,55 +746,34 @@ impl NetProfile {
         self
     }
 
-    /// Runs the profile under a simulated clock with the given service
-    /// model. Outcomes are unchanged; only time accounting differs.
+    /// Replaces the simulated clock's service model. Outcomes are
+    /// unchanged; only time accounting differs.
     pub fn with_sim(mut self, spec: SimSpec) -> Self {
-        self.sim = Some(spec);
+        self.sim = spec;
         self
     }
 
     /// Assembles the decorator stack over `inner`: faults first (closest
     /// to the wire), then the meter, so the meter observes what the
-    /// browser observes.
+    /// browser observes. Injected faults count into `meter`'s
+    /// `transport.faults_injected` when it is registry-backed
+    /// ([`TransportMeter::in_registry`]).
     pub fn stack<'a, T: Transport + 'a>(
         &self,
         inner: T,
         meter: &TransportMeter,
     ) -> Box<dyn Transport + 'a> {
-        match (self.faults, self.metered) {
-            (Some(spec), true) => Box::new(MeteredTransport::new(
-                FaultTransport::new(inner, spec, self.fault_seed),
-                meter.clone(),
-            )),
-            (Some(spec), false) => Box::new(FaultTransport::new(inner, spec, self.fault_seed)),
-            (None, true) => Box::new(MeteredTransport::new(inner, meter.clone())),
-            (None, false) => Box::new(inner),
-        }
-    }
-
-    /// [`NetProfile::stack`] with registered telemetry: the meter should
-    /// come from [`TransportMeter::in_registry`], and injected faults
-    /// additionally publish the registry's `transport.faults_injected`
-    /// counter. Stack shape and behavior are identical to
-    /// [`NetProfile::stack`].
-    pub fn stack_in<'a, T: Transport + 'a>(
-        &self,
-        inner: T,
-        meter: &TransportMeter,
-        registry: &Registry,
-    ) -> Box<dyn Transport + 'a> {
-        match (self.faults, self.metered) {
-            (Some(spec), true) => Box::new(MeteredTransport::new(
+        let wire: Box<dyn Transport + 'a> = match self.faults {
+            Some(spec) => Box::new(
                 FaultTransport::new(inner, spec, self.fault_seed)
-                    .with_injected_counter(registry.counter("transport.faults_injected")),
-                meter.clone(),
-            )),
-            (Some(spec), false) => Box::new(
-                FaultTransport::new(inner, spec, self.fault_seed)
-                    .with_injected_counter(registry.counter("transport.faults_injected")),
+                    .with_injected_counter(meter.faults_injected()),
             ),
-            (None, true) => Box::new(MeteredTransport::new(inner, meter.clone())),
-            (None, false) => Box::new(inner),
+            None => Box::new(inner),
+        };
+        if self.metered {
+            Box::new(MeteredTransport::new(wire, meter.clone()))
+        } else {
+            wire
         }
     }
 }
@@ -781,7 +783,9 @@ impl NetProfile {
 // ---------------------------------------------------------------------------
 
 /// splitmix64-style mixer: uniform, seedable, and stable across platforms.
-fn mix(a: u64, b: u64) -> u64 {
+/// The fault oracle and the simulator's draws all mix with it.
+#[inline]
+pub fn mix(a: u64, b: u64) -> u64 {
     let mut z = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -789,7 +793,8 @@ fn mix(a: u64, b: u64) -> u64 {
 }
 
 /// FNV-1a over bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -968,16 +973,5 @@ mod tests {
         // The sum is exactly the per-attempt schedule, term by term.
         let by_terms: Duration = (1..=4).map(|a| p.backoff_before(a)).sum();
         assert_eq!(p.total_backoff(4), by_terms);
-    }
-
-    #[test]
-    fn sim_profile_only_changes_time_accounting() {
-        let sim = NetProfile::named("sim").unwrap();
-        assert!(sim.sim.is_some());
-        // Same stack shape as the default profile: metered, fault-free.
-        assert!(sim.faults.is_none());
-        assert!(sim.metered);
-        assert_eq!(sim.retry, RetryPolicy::none());
-        assert!(NetProfile::default().sim.is_none());
     }
 }

@@ -1,10 +1,9 @@
 //! Deterministic discrete-event simulation for the redlight measurement
 //! pipeline.
 //!
-//! The synchronous crawl pipeline calls straight through the transport
-//! stack, so "time" was only ever recorded, never consumed. This crate
-//! adds a logical clock and an event kernel so elapsed time becomes a
-//! first-class simulated quantity:
+//! This crate gives the measurement pipeline a logical clock and an event
+//! kernel, so elapsed time is a first-class simulated quantity — every
+//! crawl session and every traffic run consumes it, none sleeps:
 //!
 //! * [`queue`] — [`SimTime`] and the stable-order [`EventQueue`]
 //!   (`(time, seq)` tie-breaking, tombstone cancellation).
@@ -12,9 +11,9 @@
 //!   [`ActorSystem`] run loop.
 //! * [`service`] — the per-request [`ServiceModel`] and per-host
 //!   connection [`HostPool`]s.
-//! * [`transport`] — [`SimTransport`], rehosting the websim `WebServer`
-//!   stack on the logical clock so crawler retries and fault stalls cost
-//!   real logical time, byte-identically to the synchronous path.
+//! * [`transport`] — [`SimTransport`], rehosting every crawl's websim
+//!   `WebServer` stack on the logical clock so crawler retries and fault
+//!   stalls cost logical time while outcomes pass through untouched.
 //! * [`traffic`] — the million-visitor load-generator workload
 //!   ([`run_traffic`]), reporting throughput and latency percentiles
 //!   through `obs` histograms.

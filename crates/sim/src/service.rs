@@ -11,16 +11,7 @@
 use std::collections::VecDeque;
 use std::time::Duration;
 
-use redlight_net::transport::SimSpec;
-
-/// splitmix64-style mixer (same construction the fault injector uses), so
-/// jitter draws are uniform, seedable, and stable across platforms.
-pub(crate) fn mix(a: u64, b: u64) -> u64 {
-    let mut z = a ^ b.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use redlight_net::transport::{mix, SimSpec};
 
 /// Deterministic service-time model over a [`SimSpec`].
 #[derive(Debug, Clone, Copy)]

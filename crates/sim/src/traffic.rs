@@ -13,8 +13,8 @@
 //!   backoff on the logical clock.
 //! * **HostFleet** (the hosts) owns one [`HostPool`] per distinct host:
 //!   connection limits, FIFO queueing, per-request service times from the
-//!   [`ServiceModel`], and fault draws from the *same* cumulative
-//!   [`FaultSpec`] distribution the synchronous `FaultTransport` uses.
+//!   [`ServiceModel`], and fault fates from the same [`FaultOracle`] the
+//!   crawler's `FaultTransport` asks.
 //!
 //! Everything measurable flows through `obs`: counters and latency
 //! histograms on the shared [`Registry`], batch spans on the `traffic`
@@ -30,7 +30,7 @@ use std::time::Duration;
 use redlight_browser::Browser;
 use redlight_net::geoip::Country;
 use redlight_net::http::ResourceKind;
-use redlight_net::transport::{BrowserKind, Fault, FaultSpec, NetProfile, SimSpec};
+use redlight_net::transport::{fnv1a, mix, BrowserKind, Fault, FaultOracle, NetProfile};
 use redlight_net::url::Url;
 use redlight_obs::{
     Counter, Gauge, Histogram, ObsContext, Registry, SloEvent, SloTracker, Timeline, Tracer,
@@ -43,7 +43,7 @@ use redlight_websim::{server::WebServer, World, WorldConfig};
 use crate::flight::{FlightEvent, FlightKind, FlightRecorder};
 use crate::kernel::{Actor, ActorId, ActorSystem, Outbox};
 use crate::queue::SimTime;
-use crate::service::{mix, HostPool, ServiceModel};
+use crate::service::{HostPool, ServiceModel};
 
 /// Sub-resources kept per page template (beyond the document itself).
 const MAX_SUBS: usize = 12;
@@ -57,18 +57,10 @@ mod salt {
     pub const DWELL: u64 = 0x0064_7765_6c6c;
     pub const WEIGHT: u64 = 0x7765_6967_6874;
     pub const BYTES: u64 = 0x0062_7974_6573;
-    pub const FAULT: u64 = 0x0066_6175_6c74;
-    pub const PERSIST: u64 = 0x7065_7273;
 }
 
 fn draw(seed: u64, s: u64, key: u64) -> u64 {
     mix(mix(seed, s), key)
-}
-
-fn hash_str(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-    })
 }
 
 /// Configuration of one traffic run.
@@ -80,8 +72,9 @@ pub struct TrafficConfig {
     pub seed: u64,
     /// The web the visitors browse.
     pub world: WorldConfig,
-    /// Network weather; `net.sim` supplies the service model (defaulted
-    /// when absent) and `net.faults` the fault mix.
+    /// Network weather: `net.sim` supplies the service model, `net.faults`
+    /// and `net.fault_seed` the fault oracle, `net.slo` the timeline's
+    /// objectives.
     pub net: NetProfile,
     /// Mean gap between session arrivals (uniform on `[0, 2·mean)`).
     pub mean_interarrival: Duration,
@@ -93,14 +86,14 @@ pub struct TrafficConfig {
 }
 
 impl TrafficConfig {
-    /// Defaults: tiny world, sim profile, 2 ms mean inter-arrival,
+    /// Defaults: tiny world, default profile, 2 ms mean inter-arrival,
     /// 10k-session span batches, no timeline.
     pub fn new(sessions: u64) -> Self {
         TrafficConfig {
             sessions,
             seed: 2019,
             world: WorldConfig::tiny(2019),
-            net: NetProfile::default().with_sim(SimSpec::default()),
+            net: NetProfile::default(),
             mean_interarrival: Duration::from_millis(2),
             span_batch: 10_000,
             timeline: None,
@@ -207,7 +200,7 @@ fn harvest(world: &World, seed: u64) -> Universe {
                 host: intern(r.url.host().as_str(), &mut host_ids),
                 bytes: synth_bytes(
                     r.kind,
-                    hash_str(r.url.host().as_str()) ^ hash_str(r.url.path()),
+                    fnv1a(r.url.host().as_str().as_bytes()) ^ fnv1a(r.url.path().as_bytes()),
                 ),
             })
             .collect();
@@ -261,7 +254,7 @@ struct Ticket {
     attempt: u8,
     /// Service-jitter uid (fresh per attempt).
     uid: u64,
-    /// Fault identity (stable across attempts of the same request).
+    /// Fault-oracle key (stable across attempts of the same request).
     fkey: u64,
     enqueued: SimTime,
 }
@@ -382,7 +375,8 @@ struct LoadGen {
     fleet: ActorId,
     target: u64,
     seed: u64,
-    fault_seed: u64,
+    /// Keys requests for the fleet's fault draw; `None` on healthy runs.
+    faults: Option<FaultOracle>,
     mean_gap_ns: u64,
     span_batch: u64,
     retry_max: u32,
@@ -423,16 +417,18 @@ impl LoadGen {
             .unwrap_or_default()
     }
 
+    /// The fault-oracle key of request `identity` of session `sid` (0 when
+    /// the weather is healthy and nothing will ever be drawn).
+    fn fault_key(&self, sid: u64, identity: u64) -> u64 {
+        self.faults.map_or(0, |oracle| oracle.key(sid, identity))
+    }
+
     fn send_doc(&mut self, slot: u32, attempt: u8, delay: Duration, out: &mut Outbox<'_, Ev>) {
         let sess = self.slots[slot as usize];
         let t = &self.universe.templates[sess.site as usize];
         let uid = self.next_uid;
         self.next_uid += 1;
-        let fkey = draw(
-            self.fault_seed,
-            salt::FAULT,
-            mix(sess.sid, 0x1_0000 + sess.pages_done as u64),
-        );
+        let fkey = self.fault_key(sess.sid, 0x1_0000 + sess.pages_done as u64);
         out.send(
             self.fleet,
             delay,
@@ -460,13 +456,9 @@ impl LoadGen {
         for (i, sub) in subs.iter().enumerate() {
             let uid = self.next_uid;
             self.next_uid += 1;
-            let fkey = draw(
-                self.fault_seed,
-                salt::FAULT,
-                mix(
-                    sess.sid,
-                    0x2_0000 + ((sess.pages_done as u64) << 8) + i as u64,
-                ),
+            let fkey = self.fault_key(
+                sess.sid,
+                0x2_0000 + ((sess.pages_done as u64) << 8) + i as u64,
             );
             out.send(
                 self.fleet,
@@ -628,8 +620,7 @@ struct HostFleet {
     client: ActorId,
     pools: Vec<HostPool<Ticket>>,
     model: ServiceModel,
-    faults: Option<FaultSpec>,
-    fault_seed: u64,
+    faults: Option<FaultOracle>,
     hooks: Hooks,
     peaks: Rc<RefCell<Peaks>>,
     /// Flight ring, shared with the client; `None` on bare runs.
@@ -649,36 +640,24 @@ impl HostFleet {
         }
     }
 
-    /// Decides a request's fate and its service duration. Fault identity
-    /// is the ticket's `fkey`, so retries of the same request re-roll
-    /// persistence exactly like `FaultTransport` does.
+    /// Decides a request's fate and its service duration: the oracle's
+    /// fate for the ticket's `fkey` at its attempt, so a retried document
+    /// clears exactly when `FaultTransport` would clear it.
     fn outcome(&self, t: &Ticket) -> (bool, Duration, bool) {
-        if let Some(spec) = self.faults {
-            let roll = (draw(self.fault_seed, salt::FAULT, t.fkey) % 1000) as u16;
-            if let Some(fault) = spec.classify(roll) {
-                let persistence = if spec.transient_attempts == 0 {
-                    u32::MAX
-                } else {
-                    1 + (draw(self.fault_seed, salt::PERSIST, t.fkey)
-                        % spec.transient_attempts as u64) as u32
-                };
-                if (t.attempt as u32) <= persistence {
-                    return match fault {
-                        Fault::Dns | Fault::Reset => {
-                            (false, self.model.connect_fail_time(t.uid), true)
-                        }
-                        Fault::Stall => (false, self.model.timeout_time(), true),
-                        Fault::ServerError => (false, self.model.service_time(1024, t.uid), true),
-                        Fault::Truncate => (
-                            true,
-                            self.model.service_time(t.bytes as u64 / 2, t.uid),
-                            true,
-                        ),
-                    };
-                }
-            }
+        let fate = self
+            .faults
+            .and_then(|oracle| oracle.fate(t.fkey, t.attempt as u32));
+        match fate {
+            None => (true, self.model.service_time(t.bytes as u64, t.uid), false),
+            Some(Fault::Dns | Fault::Reset) => (false, self.model.connect_fail_time(t.uid), true),
+            Some(Fault::Stall) => (false, self.model.timeout_time(), true),
+            Some(Fault::ServerError) => (false, self.model.service_time(1024, t.uid), true),
+            Some(Fault::Truncate) => (
+                true,
+                self.model.service_time(t.bytes as u64 / 2, t.uid),
+                true,
+            ),
         }
-        (true, self.model.service_time(t.bytes as u64, t.uid), false)
     }
 
     fn start(&mut self, t: Ticket, out: &mut Outbox<'_, Ev>) {
@@ -1079,7 +1058,11 @@ impl TrafficReport {
 /// pending-event heap — finished sessions recycle their slots.
 pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
     let world = World::build(config.world.clone());
-    let spec = config.net.sim.unwrap_or_default();
+    let spec = config.net.sim;
+    let faults = config
+        .net
+        .faults
+        .map(|spec| FaultOracle::new(spec, config.net.fault_seed));
     let universe = Rc::new(harvest(&world, config.seed));
     assert!(
         universe.total_weight > 0,
@@ -1121,7 +1104,7 @@ pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
             tl.track_gauge(&obs.metrics, name);
         }
         tl.track_histogram(&obs.metrics, "traffic.request_us");
-        let policy = config.net.slo.unwrap_or_default().policy();
+        let policy = config.net.slo.policy();
         Rc::new(RefCell::new(TimelineRt {
             req_ix: tl.counter_index("traffic.requests").expect("tracked"),
             fail_ix: tl
@@ -1152,7 +1135,7 @@ pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
         fleet: fleet_id,
         target: config.sessions,
         seed: config.seed,
-        fault_seed: config.net.fault_seed,
+        faults,
         mean_gap_ns: config.mean_interarrival.as_nanos().max(1) as u64,
         span_batch: config.span_batch.max(1),
         retry_max: retry.max_attempts.max(1),
@@ -1176,8 +1159,7 @@ pub fn run_traffic(config: &TrafficConfig, obs: &ObsContext) -> TrafficReport {
             .map(|_| HostPool::new(spec.conn_limit))
             .collect(),
         model: ServiceModel::new(spec),
-        faults: config.net.faults,
-        fault_seed: config.net.fault_seed,
+        faults,
         hooks: hooks.clone(),
         peaks: Rc::clone(&peaks),
         flight: flight_handle,
@@ -1328,9 +1310,7 @@ mod tests {
     fn faulty_weather_slows_and_fails_traffic() {
         let healthy = run_traffic(&tiny_config(150), &ObsContext::new());
         let mut flaky = tiny_config(150);
-        flaky.net = NetProfile::named("flaky")
-            .unwrap()
-            .with_sim(SimSpec::default());
+        flaky.net = NetProfile::named("flaky").unwrap();
         let stormy = run_traffic(&flaky, &ObsContext::new());
         assert!(stormy.faults > 0);
         assert!(stormy.retries > 0, "doc faults must trigger retries");
@@ -1341,6 +1321,59 @@ mod tests {
             stormy.makespan,
             healthy.makespan
         );
+    }
+
+    #[test]
+    fn host_fleet_faults_follow_the_oracle() {
+        use redlight_net::transport::{FaultSpec, SimSpec};
+        let permanent = FaultSpec {
+            transient_attempts: 0,
+            ..FaultSpec::lossy()
+        };
+        for (spec, seed) in [
+            (FaultSpec::flaky(), 1),
+            (FaultSpec::lossy(), 7),
+            (permanent, 3),
+        ] {
+            let oracle = FaultOracle::new(spec, seed);
+            let fleet = HostFleet {
+                me: ActorId(1),
+                client: ActorId(0),
+                pools: Vec::new(),
+                model: ServiceModel::new(SimSpec::default()),
+                faults: Some(oracle),
+                hooks: Hooks::new(&Registry::new()),
+                peaks: Rc::new(RefCell::new(Peaks::default())),
+                flight: None,
+            };
+            let mut faulted = 0;
+            for sid in 0..300u64 {
+                for identity in [0x1_0000, 0x1_0002, 0x2_0105] {
+                    let fkey = oracle.key(sid, identity);
+                    for attempt in 1..=4u8 {
+                        let t = Ticket {
+                            session: 0,
+                            host: 0,
+                            bytes: 4096,
+                            tier: 0,
+                            doc: true,
+                            attempt,
+                            uid: sid,
+                            fkey,
+                            enqueued: SimTime::ZERO,
+                        };
+                        let (_, _, is_faulted) = fleet.outcome(&t);
+                        assert_eq!(
+                            is_faulted,
+                            oracle.fate(fkey, attempt as u32).is_some(),
+                            "{spec:?}: fleet and oracle disagree on key {fkey:#x} attempt {attempt}"
+                        );
+                        faulted += is_faulted as usize;
+                    }
+                }
+            }
+            assert!(faulted > 0, "{spec:?} must fault somewhere");
+        }
     }
 
     #[test]
@@ -1371,14 +1404,12 @@ mod tests {
     #[test]
     fn timeline_flags_slo_violations_and_freezes_flights() {
         let mut config = tiny_config(400);
-        config.net = NetProfile::named("flaky")
-            .unwrap()
-            .with_sim(SimSpec::default());
+        config.net = NetProfile::named("flaky").unwrap();
         // An unmeetable latency objective guarantees transitions.
-        config.net.slo = Some(redlight_net::transport::SloSpec {
+        config.net.slo = redlight_net::transport::SloSpec {
             latency_p99_us: 1,
             ..Default::default()
-        });
+        };
         config.timeline = Some(TimelineSpec::with_window(Duration::from_millis(500)));
         let obs = ObsContext::new();
         let report = run_traffic(&config, &obs);

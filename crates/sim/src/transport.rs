@@ -1,13 +1,13 @@
-//! Rehosting the synchronous fetch path on the simulated clock.
+//! Hosting the crawl's fetch path on the simulated clock.
 //!
 //! [`SimTransport`] wraps a whole transport stack (server, fault injector,
 //! meter) and charges every outcome's modeled cost to a [`SimClock`]:
 //! responses cost their service time, unreachable hosts cost the connect
 //! failure, and a stall — notably the ones `FaultTransport` injects —
 //! costs the full timeout budget, so "the page load exceeded the crawler's
-//! timeout" finally *takes* that long in logical time. Outcomes pass
-//! through byte-identical, which is what makes a sim-hosted study render
-//! exactly like the synchronous one.
+//! timeout" *takes* that long in logical time. Outcomes pass through
+//! byte-identical, which is why no service model ever changes what a
+//! study measures.
 //!
 //! The crawler holds the cloneable [`SimHandle`] after boxing the stack
 //! into the browser, advances the clock by its retry backoff between
@@ -55,11 +55,6 @@ impl SimHandle {
     /// Current logical time since the simulation started.
     pub fn now(&self) -> Duration {
         self.clock.now().as_duration()
-    }
-
-    /// The underlying clock.
-    pub fn clock(&self) -> SimClock {
-        self.clock.clone()
     }
 
     /// Consumes retry backoff: advances the clock by `d` and accounts it,

@@ -33,8 +33,12 @@ PROPTEST_CASES=64 cargo test -q -p redlight-sim --test kernel_props
 echo "==> traffic determinism (seed-pinned report, journal, logical walls)"
 cargo test -q --test traffic_determinism
 
-echo "==> sim-vs-sync equivalence (sim-hosted study byte-identical)"
+echo "==> time-accounting equivalence (any SimSpec renders the same study)"
 cargo test -q --test sim_equivalence
+
+echo "==> fault oracle differential (injector and traffic fleet follow FaultOracle::fate)"
+cargo test -q --test transport_faults fault_transport_agrees_with_the_oracle
+cargo test -q -p redlight-sim --lib host_fleet_faults_follow_the_oracle
 
 # `--test` smoke runs write their BENCH_*.json rows under target/bench-smoke/;
 # the committed root files hold full-mode rows only.

@@ -1,36 +1,36 @@
-//! The simulated clock is purely additive: a full study run through
-//! `SimTransport` (the `sim` net profile) must produce byte-identical
-//! results to the synchronous default path. The sim decorator charges
-//! logical time per outcome but returns every outcome untouched, so only
-//! *when* things happen changes — never *what*.
+//! Time accounting never changes what is measured: every crawl runs on
+//! the network profile's simulated clock, and `SimTransport` charges
+//! logical time per outcome but returns every outcome untouched. A study
+//! under a very different service model must therefore render exactly
+//! like the default one — only *when* things happen changes, never
+//! *what*.
 
-use redlight::net::transport::{NetProfile, SimSpec};
+use std::time::Duration;
+
+use redlight::net::transport::SimSpec;
 use redlight::{Study, StudyConfig};
 
 #[test]
-fn sim_hosted_study_matches_synchronous_study_byte_for_byte() {
-    let sync_config = StudyConfig::tiny(2019);
-    let mut sim_config = StudyConfig::tiny(2019);
-    sim_config.net = sim_config.net.with_sim(SimSpec::default());
-    assert!(sim_config.net.sim.is_some());
+fn time_accounting_never_changes_the_study() {
+    let default_config = StudyConfig::tiny(2019);
+    let mut slow_config = StudyConfig::tiny(2019);
+    slow_config.net = slow_config.net.with_sim(SimSpec {
+        base_service: Duration::from_millis(50),
+        per_kbyte: Duration::from_millis(1),
+        connect_fail: Duration::from_millis(500),
+        timeout: Duration::from_secs(1),
+        jitter_pm: 0,
+        conn_limit: 1,
+        seed: 99,
+    });
+    assert_ne!(slow_config.net.sim, default_config.net.sim);
 
-    let sync_results = Study::run(sync_config);
-    let sim_results = Study::run(sim_config);
+    let default_results = Study::run(default_config);
+    let slow_results = Study::run(slow_config);
 
     assert_eq!(
-        sync_results.render_summary(),
-        sim_results.render_summary(),
-        "sim rehosting must not change any measured result"
+        default_results.render_summary(),
+        slow_results.render_summary(),
+        "the service model must not change any measured result"
     );
-}
-
-#[test]
-fn sim_profile_equals_default_profile_modulo_time() {
-    // The named `sim` profile is exactly `default` plus a service model.
-    let sim = NetProfile::named("sim").expect("sim profile registered");
-    let default = NetProfile::default();
-    assert_eq!(sim.faults, default.faults);
-    assert_eq!(sim.metered, default.metered);
-    assert_eq!(sim.retry, default.retry);
-    assert!(sim.sim.is_some() && default.sim.is_none());
 }

@@ -2,7 +2,7 @@
 //! byte-identically for the same seed (report, tier table, span journal,
 //! metrics), diverges across seeds, and network weather costs real
 //! logical time — a flaky crawl's visit walls are strictly longer than a
-//! healthy one's on the sim clock.
+//! healthy one's, and every crawl's walls are logical, so they replay.
 
 use std::time::Duration;
 
@@ -10,7 +10,7 @@ use redlight::crawler::db::CorpusLabel;
 use redlight::crawler::openwpm::CrawlConfig;
 use redlight::crawler::OpenWpmCrawler;
 use redlight::net::geoip::Country;
-use redlight::net::transport::{NetProfile, SimSpec};
+use redlight::net::transport::NetProfile;
 use redlight::obs::ObsContext;
 use redlight::sim::{run_traffic, TrafficConfig, TrafficReport};
 use redlight::{World, WorldConfig};
@@ -29,7 +29,7 @@ fn traffic_run(seed: u64, net: NetProfile) -> (TrafficReport, ObsContext) {
 
 #[test]
 fn same_seed_yields_byte_identical_report_and_journal() {
-    let net = NetProfile::named("sim").expect("sim profile registered");
+    let net = NetProfile::default();
     let (ra, oa) = traffic_run(5, net.clone());
     let (rb, ob) = traffic_run(5, net);
 
@@ -53,7 +53,7 @@ fn same_seed_yields_byte_identical_report_and_journal() {
 
 #[test]
 fn different_seeds_diverge() {
-    let net = NetProfile::named("sim").expect("sim profile registered");
+    let net = NetProfile::default();
     let (ra, _) = traffic_run(5, net.clone());
     let (rc, _) = traffic_run(6, net);
     assert_ne!(
@@ -65,10 +65,8 @@ fn different_seeds_diverge() {
 
 #[test]
 fn flaky_traffic_takes_strictly_longer_than_direct() {
-    let direct = NetProfile::named("sim").expect("sim profile registered");
-    let flaky = NetProfile::named("flaky")
-        .expect("flaky profile registered")
-        .with_sim(SimSpec::default());
+    let direct = NetProfile::default();
+    let flaky = NetProfile::named("flaky").expect("flaky profile registered");
     let (healthy, _) = traffic_run(5, direct);
     let (stormy, _) = traffic_run(5, flaky);
     assert!(stormy.faults > 0, "flaky weather must inject faults");
@@ -80,9 +78,9 @@ fn flaky_traffic_takes_strictly_longer_than_direct() {
     );
 }
 
-/// Crawls the same porn domains under a sim clock twice — once over a
-/// healthy network, once under the flaky fault plan — and compares the
-/// recorded per-visit walls, which are logical time under sim profiles.
+/// Crawls the same porn domains twice — once over the default healthy
+/// network, once under the flaky fault plan — and compares the recorded
+/// per-visit walls, which are logical time on every profile.
 #[test]
 fn flaky_crawl_walls_strictly_exceed_direct_walls() {
     let world = World::build(WorldConfig::tiny(11));
@@ -110,20 +108,19 @@ fn flaky_crawl_walls_strictly_exceed_direct_walls() {
         record.visits.iter().map(|v| v.wall).sum()
     };
 
-    let direct = crawl_wall(NetProfile::direct().with_sim(SimSpec::default()));
-    let flaky = crawl_wall(
-        NetProfile::named("flaky")
-            .expect("flaky profile registered")
-            .with_sim(SimSpec::default()),
-    );
-    assert!(direct > Duration::ZERO, "sim walls are logical, not zero");
+    let healthy = crawl_wall(NetProfile::default());
+    let flaky = crawl_wall(NetProfile::named("flaky").expect("flaky profile registered"));
     assert!(
-        flaky > direct,
+        healthy > Duration::ZERO,
+        "visit walls are logical, not zero"
+    );
+    assert!(
+        flaky > healthy,
         "fault stalls and consumed backoff must lengthen logical visit walls: \
-         {flaky:?} vs {direct:?}"
+         {flaky:?} vs {healthy:?}"
     );
 
-    // Replay: logical walls are deterministic, unlike wall-clock timing.
-    let direct_again = crawl_wall(NetProfile::direct().with_sim(SimSpec::default()));
-    assert_eq!(direct, direct_again, "sim crawl walls must replay exactly");
+    // Replay: default-profile walls are logical, so they replay exactly.
+    let healthy_again = crawl_wall(NetProfile::default());
+    assert_eq!(healthy, healthy_again, "crawl walls must replay exactly");
 }

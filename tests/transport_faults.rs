@@ -1,15 +1,22 @@
-//! The transport seam's three contracts: seeded faults are deterministic,
-//! the default profile changes nothing, and the retry policy recovers
-//! transient failures within its budget (and records every attempt).
+//! The transport seam's contracts: seeded faults are deterministic and
+//! follow the one fault oracle, the default profile changes nothing, and
+//! the retry policy recovers transient failures within its budget (and
+//! records every attempt).
 
+use proptest::prelude::*;
 use redlight::browser::Browser;
 use redlight::crawler::corpus::CorpusCompiler;
 use redlight::crawler::db::CorpusLabel;
 use redlight::crawler::openwpm::{CrawlConfig, OpenWpmCrawler};
 use redlight::net::geoip::Country;
-use redlight::net::transport::{BrowserKind, FaultSpec, NetProfile, RetryPolicy};
+use redlight::net::http::{Request, ResourceKind, Response, StatusCode};
+use redlight::net::transport::{
+    fnv1a, BrowserKind, ClientContext, Fault, FaultOracle, FaultSpec, FaultTransport, FetchOutcome,
+    NetProfile, RetryPolicy, Transport,
+};
 use redlight::net::url::Url;
 use redlight::{Study, StudyConfig, World, WorldConfig};
+use std::net::Ipv4Addr;
 use std::time::Duration;
 
 fn flaky_config(seed: u64, fault_seed: u64) -> StudyConfig {
@@ -135,4 +142,114 @@ fn retries_recover_transient_stalls_within_budget() {
     );
     assert!(retried.total_retries() > 0);
     assert_eq!(clean.total_retries(), 0);
+}
+
+const BODY: &str = "<html>0123456789abcdef</html>";
+
+/// A server that answers every request 200 with [`BODY`].
+struct Always;
+
+impl Transport for Always {
+    fn fetch(&self, _req: &Request, _ctx: &ClientContext) -> FetchOutcome {
+        FetchOutcome::Response(Response::ok("text/html", BODY))
+    }
+    fn resolvable(&self, _host: &str) -> bool {
+        true
+    }
+}
+
+/// What one fetch came back as, reduced to what a fault decides.
+#[derive(Debug, PartialEq, Eq)]
+enum Seen {
+    Whole,
+    Unreachable,
+    Timeout,
+    Unavailable,
+    Truncated,
+}
+
+fn seen(outcome: FetchOutcome) -> Seen {
+    match outcome {
+        FetchOutcome::Unreachable => Seen::Unreachable,
+        FetchOutcome::Timeout => Seen::Timeout,
+        FetchOutcome::Response(r) if r.status == StatusCode(503) => Seen::Unavailable,
+        FetchOutcome::Response(r) if r.body.len() == BODY.len() / 2 => Seen::Truncated,
+        FetchOutcome::Response(r) => {
+            assert_eq!(r.body.len(), BODY.len(), "an unfaulted body arrives whole");
+            Seen::Whole
+        }
+    }
+}
+
+fn expected(fate: Option<Fault>) -> Seen {
+    match fate {
+        None => Seen::Whole,
+        Some(Fault::Dns | Fault::Reset) => Seen::Unreachable,
+        Some(Fault::Stall) => Seen::Timeout,
+        Some(Fault::ServerError) => Seen::Unavailable,
+        Some(Fault::Truncate) => Seen::Truncated,
+    }
+}
+
+const KINDS: [ResourceKind; 8] = [
+    ResourceKind::Document,
+    ResourceKind::Script,
+    ResourceKind::Image,
+    ResourceKind::Stylesheet,
+    ResourceKind::Frame,
+    ResourceKind::Xhr,
+    ResourceKind::Beacon,
+    ResourceKind::Other,
+];
+
+proptest! {
+    /// Differential check of the two fault paths: every attempt the
+    /// injector serves must be exactly the oracle's fate for the request's
+    /// key, so the crawler and the traffic simulator (which asks the
+    /// oracle directly) can never draw different weather.
+    #[test]
+    fn fault_transport_agrees_with_the_oracle(
+        rates in proptest::collection::vec(0u16..=200, 5),
+        transient_attempts in 0u32..=4,
+        seed in any::<u64>(),
+        session in any::<u64>(),
+        host in "[a-z]{1,10}",
+        path in "[a-z0-9/]{0,12}",
+        fragment in "(#[a-z]{1,6})?",
+        kind in 0usize..KINDS.len(),
+    ) {
+        let spec = FaultSpec {
+            dns_pm: rates[0],
+            reset_pm: rates[1],
+            stall_pm: rates[2],
+            server_error_pm: rates[3],
+            truncate_pm: rates[4],
+            transient_attempts,
+        };
+        let url = Url::parse(&format!("https://{host}.example/{path}{fragment}")).unwrap();
+        let req = Request::get(url.clone(), KINDS[kind]);
+        let ctx = ClientContext {
+            country: Country::Spain,
+            client_ip: Ipv4Addr::new(203, 0, 113, 9),
+            session,
+            browser: BrowserKind::OpenWpm,
+        };
+
+        let oracle = FaultOracle::new(spec, seed);
+        let key = oracle.key(session, fnv1a(url.without_fragment().as_bytes()) ^ KINDS[kind] as u64);
+        let injector = FaultTransport::new(Always, spec, seed);
+        // Permanent faults (0) never clear; check a few attempts anyway.
+        let last = transient_attempts.max(2) + 1;
+        let mut faults = 0;
+        for attempt in 1..=last {
+            let fate = oracle.fate(key, attempt);
+            faults += u64::from(fate.is_some());
+            prop_assert_eq!(
+                seen(injector.fetch(&req, &ctx)),
+                expected(fate),
+                "attempt {} of {}", attempt, url
+            );
+        }
+        prop_assert_eq!(injector.injected(), faults);
+    }
 }
